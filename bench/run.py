@@ -26,16 +26,28 @@ import sys
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import speed  # the standard library only, so numpy is not imported yet
+
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".bench_out"
 NPROC = len(os.sched_getaffinity(0))
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# set-up is repeated this many times per run and the median reported
-SETUP_REPS = 5
+# BLAS threads per workload.  The scalar workloads call BLAS only on small
+# vectors, where a second thread adds waiting, not speed, and makes their
+# times spread more; the dense analysis uses every CPU.
+BLAS_THREADS = {"solve-sweep": 1, "dense-output": 1, "gs-analysis": NPROC}
+# set-up is the import of desinc plus the workload's preparation; each part
+# is repeated and timed between host-speed probes, and setup_s is the sum of
+# the two medians of the scaled times
+IMPORT_REPS = 15
+PREPARE_REPS = 5
+# the fresh interpreter probes its own CPU's speed around the import
 IMPORT_PROBE = (
-    "import sys, time; sys.path.insert(0, sys.argv[1]); t = time.perf_counter(); "
-    "import desinc, desinc.cli; print(time.perf_counter() - t)"
+    "import sys, time; sys.path[:0] = sys.argv[1:3]; import speed; before = speed.probe(); "
+    "t = time.perf_counter(); import desinc, desinc.cli; s = time.perf_counter() - t; "
+    "print(s, speed.scale(s, before, speed.probe()))"
 )
 WORKLOAD_NAMES = ("solve-sweep", "dense-output", "gs-analysis")
 # the end-to-end metrics every workload reports; BENCHMARK.json bounds them
@@ -61,11 +73,13 @@ def import_desinc():
     return desinc
 
 
-def time_import() -> float:
-    """Import time of desinc in a fresh interpreter, as a user pays it."""
-    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(SRC)], cwd=ROOT,
+def time_import() -> tuple[float, float]:
+    """Raw and scaled import time of desinc in a fresh interpreter, as a
+    user pays it."""
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(SRC), str(HERE)], cwd=ROOT,
                          capture_output=True, text=True, check=True, timeout=120)
-    return float(out.stdout.strip().splitlines()[-1])
+    raw, scaled = out.stdout.strip().splitlines()[-1].split()
+    return float(raw), float(scaled)
 
 
 def environment(seed: int) -> dict:
@@ -217,28 +231,38 @@ def layer_metrics(prep: dict, passes: list[dict], overhead: float) -> dict:
 
 # -- the two modes ----------------------------------------------------------
 
+def time_setup(workload) -> tuple[float, dict]:
+    """setup_s, and the raw and scaled times of every import and
+    preparation it was made from."""
+    imports = [time_import() for _ in range(IMPORT_REPS)]
+    prepares = [workload.speed.timed(workload.prepare)[1:] for _ in range(PREPARE_REPS)]
+    setup_s = (statistics.median(s for _, s in imports)
+               + statistics.median(s for _, s in prepares))
+    return setup_s, {"import": imports, "prepare": prepares}
+
+
 def run_untraced(workload, seconds: float, failures: list[str]):
-    import_times = [time_import() for _ in range(SETUP_REPS)]
-    setups = []
-    for import_s in import_times:
-        t0 = time.perf_counter()
-        workload.prepare()
-        setups.append(import_s + time.perf_counter() - t0)
-    passes, attempted, failed, measured = [], 0, 0, 0.0
-    while not passes or measured + passes[-1].wall_s <= seconds:
+    setup_s, setups = time_setup(workload)
+    # a pass starts only while it can still end within the run's seconds,
+    # counting the checks and probes of the previous pass
+    passes, attempted, failed = [], 0, 0
+    t_start = t_pass = time.perf_counter()
+    while not passes or time.perf_counter() - t_start + last <= seconds:
         pr = workload.run_pass()
-        measured += pr.wall_s
         a, f = run_checks(pr.ops, failures)
         attempted, failed = attempted + a, failed + f
         passes.append(pr)
+        last, t_pass = time.perf_counter() - t_pass, time.perf_counter()
     summary = workload.summary(passes)
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    named = {"setup_s": (statistics.median(setups), "s"), "peak_rss_mb": (rss_mb, "MB"),
-             "fail_frac": (failed / attempted, "frac"), **summary}
+    named = {"setup_s": (setup_s, "s"),
+             "peak_rss_mb": (rss_mb, "MB"), "fail_frac": (failed / attempted, "frac"),
+             **summary}
     named = {k: {"value": v, "unit": u} for k, (v, u) in named.items()}
     metrics = {k: named[k] for k in E2E_METRICS}
     detail = {"setup_s": setups, "issue_metrics": named,
-              "passes": [{"wall_s": p.wall_s, "ops": [[op.kind, op.seconds] for op in p.ops]}
+              "passes": [{"wall_s": p.wall_s, "norm_wall_s": p.norm_wall_s,
+                          "ops": [[op.kind, op.seconds, op.norm_s] for op in p.ops]}
                          for p in passes]}
     return metrics, attempted, failed, detail
 
@@ -271,17 +295,18 @@ def run_traced(desinc, workload, seconds: float, failures: list[str]):
     _, prep = traced(workload.prepare)
     check_consistency(prep, workload.prepared_sweeps)
 
-    plain_walls, traced_passes, measured = [], [], 0.0
-    while not traced_passes or measured + plain_walls[-1] + traced_passes[-1]["wall_s"] <= seconds:
+    plain_walls, traced_passes = [], []
+    t_start = t_pair = time.perf_counter()
+    while not traced_passes or time.perf_counter() - t_start + last <= seconds:
         pr = workload.run_pass()
         a, f = run_checks(pr.ops, failures)
         attempted, failed = attempted + a, failed + f
-        plain_walls.append(pr.wall_s)
+        plain_walls.append(pr.norm_wall_s)
 
         pr, rec = traced(workload.run_pass)
         a, f = run_checks(pr.ops, failures)
         attempted, failed = attempted + a, failed + f
-        rec["wall_s"] = pr.wall_s
+        rec["wall_s"] = pr.norm_wall_s
         rec["bytes_written"] = sum(os.path.getsize(op.path) for op in pr.ops if op.path)
         check_consistency(rec, pr.reported_sweeps())
         # counters of every traced pass must repeat the first pass exactly
@@ -291,7 +316,7 @@ def run_traced(desinc, workload, seconds: float, failures: list[str]):
                 failed += 1
                 failures.append("traced pass counters differ from the first traced pass")
         traced_passes.append(rec)
-        measured += pr.wall_s + plain_walls[-1]
+        last, t_pair = time.perf_counter() - t_pair, time.perf_counter()
 
     overhead = (statistics.median(p["wall_s"] for p in traced_passes)
                 / statistics.median(plain_walls) - 1.0)
@@ -363,11 +388,11 @@ def main(argv=None) -> int:
         print(f"error: no desinc package under {SRC}; run from a full checkout",
               file=sys.stderr)
         return 2
-    # pin BLAS threads before numpy is first imported, here and in children
-    for var in BLAS_THREAD_VARS:
-        os.environ[var] = str(NPROC)
     if args.workload == "all":
         return run_all(args)
+    # pin BLAS threads before numpy is first imported, here and in children
+    for var in BLAS_THREAD_VARS:
+        os.environ[var] = str(BLAS_THREADS[args.workload])
     return run_one(args)
 
 

@@ -5,6 +5,8 @@ after the previous one returned.  ``prepare`` is the untimed preparation
 that counts in ``setup_s``; ``run_pass`` runs one pass of the workload's
 job list and returns one ``Op`` per timed call.  Every ``Op`` carries a
 check that the harness runs after the pass, outside the timed region.
+Every timed call sits between two host-speed probes (speed.py); the
+summaries use the times scaled to the probe's reference speed.
 """
 
 from __future__ import annotations
@@ -13,13 +15,13 @@ import csv
 import math
 import os
 import statistics
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 import oracle
+import speed
 
 # The seeded lv problems are drawn from lv:m=3:seed=0..7, all of which
 # converge under both methods at every N used here.
@@ -52,6 +54,7 @@ class Op:
 
     kind: str
     seconds: float
+    norm_s: float  # seconds scaled to the probe's reference speed
     check: Callable[[], str | None]
     path: str | None = None  # file the operation wrote, if any
 
@@ -59,10 +62,18 @@ class Op:
 @dataclass
 class PassResult:
     ops: list[Op]
-    wall_s: float
     # sweeps the pass's own outputs report; the traced run compares this
     # with the number of sweep spans it recorded
     reported_sweeps: Callable[[], int] = field(default=lambda: 0)
+
+    @property
+    def wall_s(self) -> float:
+        """Raw time of the pass's timed calls, probes left out."""
+        return sum(op.seconds for op in self.ops)
+
+    @property
+    def norm_wall_s(self) -> float:
+        return sum(op.norm_s for op in self.ops)
 
 
 def lv_spec(seed: int) -> str:
@@ -86,20 +97,24 @@ class _CliWorkload:
     """Shared plumbing for the workloads that drive desinc.cli.main."""
 
     prepared_sweeps = 0  # prepare() runs no solver
+    probe = staticmethod(speed.probe)
 
     def __init__(self, desinc, seed: int, out_dir: str):
         self.desinc = desinc
         self.seed = seed
         self.out_dir = out_dir
+        self.speed = speed.Speed(self.probe)
 
-    def _call(self, ops: list[Op], kind: str, argv: list[str], path: str, check) -> None:
-        t0 = time.perf_counter()
-        try:
-            rc = _run_cli(self.desinc.cli, argv + ["--out", path])
-            error = None
-        except Exception as exc:  # a crash is a failed operation, not the end of the run
-            rc, error = None, f"{type(exc).__name__}: {exc}"
-        seconds = time.perf_counter() - t0
+    def _call(self, ops: list[Op], kind: str, argv: list[str], path: str, check,
+              sp: speed.Speed | None = None) -> None:
+        """Time one CLI call between probes of sp (default: the workload's)."""
+        def call():
+            try:
+                return _run_cli(self.desinc.cli, argv + ["--out", path]), None
+            except Exception as exc:  # a crash is a failed operation, not the end of the run
+                return None, f"{type(exc).__name__}: {exc}"
+
+        (rc, error), seconds, norm_s = (sp or self.speed).timed(call)
 
         def checked():
             if error is not None:
@@ -108,7 +123,7 @@ class _CliWorkload:
                 return f"exit code {rc}"
             return check(path)
 
-        ops.append(Op(kind=kind, seconds=seconds, check=checked, path=path))
+        ops.append(Op(kind=kind, seconds=seconds, check=checked, path=path, norm_s=norm_s))
 
 
 class SolveSweep(_CliWorkload):
@@ -127,7 +142,7 @@ class SolveSweep(_CliWorkload):
     def run_pass(self) -> PassResult:
         ops: list[Op] = []
         sweeps: list[int] = []
-        t0 = time.perf_counter()
+        self.speed.reprobe()
         for p, spec in enumerate(self.problems):
             for n in SOLVE_NS:
                 for method in METHODS:
@@ -140,27 +155,25 @@ class SolveSweep(_CliWorkload):
                        ["trace", "--problem", spec, "--n", str(TRACE_N),
                         "--max-sweeps", str(TRACE_SWEEPS)],
                        path, lambda path: _check_trace(path, sweeps))
-        wall = time.perf_counter() - t0
-        return PassResult(ops=ops, wall_s=wall, reported_sweeps=lambda: sum(sweeps))
+        return PassResult(ops=ops, reported_sweeps=lambda: sum(sweeps))
 
     @staticmethod
     def summary(passes: list[PassResult]) -> dict:
         def rate(n):
-            secs = [op.seconds for p in passes for op in p.ops if op.kind == f"solve.N{n}"]
+            secs = [op.norm_s for p in passes for op in p.ops if op.kind == f"solve.N{n}"]
             return len(secs) / sum(secs)
 
         r64, r1024 = rate(64), rate(1024)
-        return {"wall_s": (statistics.median(p.wall_s for p in passes), "s"),
+        return {"wall_s": (statistics.median(p.norm_wall_s for p in passes), "s"),
                 "fast_op_ms": (1e3 * _median_small_call(passes, SMALL_SOLVES), "ms"),
                 "slow_op_ms": (1e3 / r1024, "ms"),
                 "solves_per_s.N64": (r64, "1/s"), "solves_per_s.N1024": (r1024, "1/s")}
 
 
 def _median_small_call(passes: list[PassResult], kinds) -> float:
-    """Median over passes of the mean time of a call of the given kinds.
-    Averaging several calls per pass steadies the figure on a shared host,
-    whose speed changes from one second to the next."""
-    return statistics.median(statistics.mean(op.seconds for op in p.ops if op.kind in kinds)
+    """Median over passes of the mean scaled time of a call of the given
+    kinds."""
+    return statistics.median(statistics.mean(op.norm_s for op in p.ops if op.kind in kinds)
                              for p in passes)
 
 
@@ -207,6 +220,7 @@ class DenseOutput:
         self.seed = seed
         self.rng = np.random.default_rng(seed)
         self.prepared_sweeps = 0
+        self.speed = speed.Speed()
 
     def prepare(self) -> None:
         d = self.desinc
@@ -225,31 +239,30 @@ class DenseOutput:
         for k in range(EVAL_PER_PASS):
             tp, sol = self.cases[k % len(self.cases)]
             jobs.append((tp, sol, float(self.rng.uniform(tp.problem.iv.a, tp.problem.iv.b))))
-        ops: list[Op] = []
-        t_pass = time.perf_counter()
-        for tp, sol, t in jobs:
-            t0 = time.perf_counter()
+        def call(sol, t):
             try:
-                y, error = evaluate(sol, t), None
+                return evaluate(sol, t), None
             except Exception as exc:
-                y, error = None, f"{type(exc).__name__}: {exc}"
-            ops.append(Op(kind="eval", seconds=time.perf_counter() - t0,
+                return None, f"{type(exc).__name__}: {exc}"
+
+        ops: list[Op] = []
+        self.speed.reprobe()
+        for tp, sol, t in jobs:
+            (y, error), seconds, norm_s = self.speed.timed(lambda: call(sol, t))
+            ops.append(Op(kind="eval", seconds=seconds, norm_s=norm_s,
                           check=lambda tp=tp, t=t, y=y, error=error: error or _check_eval(tp, t, y)))
-        wall = time.perf_counter() - t_pass
-        return PassResult(ops=ops, wall_s=wall)
+        return PassResult(ops=ops)
 
     @staticmethod
     def summary(passes: list[PassResult]) -> dict:
-        # An evaluate call lasts milliseconds, so each call, and each pass
-        # of 20 calls, falls wholly into a fast or a slow spell of a shared
-        # host; the median then jumps with the share of slow spells in the
-        # run.  The 5th percentile stays in the fast spells and is steady.
-        ms = [op.seconds * 1e3 for p in passes for op in p.ops]
-        p5, p50, p99 = np.percentile(ms, [5, 50, 99])
-        wall = float(np.percentile([p.wall_s for p in passes], 5))
-        return {"wall_s": (wall, "s"), "fast_op_ms": (float(p5), "ms"),
-                "slow_op_ms": (float(p99), "ms"),
-                "eval_p5_ms": (float(p5), "ms"), "eval_p50_ms": (float(p50), "ms"),
+        # The bound tail is the 95th percentile: over runs with different
+        # seeds, the 99th, with about 30 calls beyond it, spread by 10%.
+        ms = [op.norm_s * 1e3 for p in passes for op in p.ops]
+        p50, p95, p99 = np.percentile(ms, [50, 95, 99])
+        wall = statistics.median(p.norm_wall_s for p in passes)
+        return {"wall_s": (wall, "s"), "fast_op_ms": (float(p50), "ms"),
+                "slow_op_ms": (float(p95), "ms"),
+                "eval_p50_ms": (float(p50), "ms"), "eval_p95_ms": (float(p95), "ms"),
                 "eval_p99_ms": (float(p99), "ms"), "eval_samples": (len(ms), "count")}
 
 
@@ -268,6 +281,13 @@ class GsAnalysis(_CliWorkload):
     call, plus one `desinc dump-weights`."""
 
     name = "gs-analysis"
+    probe = staticmethod(speed.dense_probe)
+
+    def __init__(self, desinc, seed: int, out_dir: str):
+        super().__init__(desinc, seed, out_dir)
+        # the dump formats numbers in Python, which the scalar probe follows
+        # and the dense one does not
+        self.dump_speed = speed.Speed(speed.probe)
 
     def prepare(self) -> None:
         self.problems = {}
@@ -277,7 +297,7 @@ class GsAnalysis(_CliWorkload):
 
     def run_pass(self) -> PassResult:
         ops: list[Op] = []
-        t0 = time.perf_counter()
+        self.speed.reprobe()
         for p, (spec, ns) in enumerate(ANALYZE_JOBS):
             length, lip = self.problems[spec]
             for n in ns:
@@ -286,20 +306,21 @@ class GsAnalysis(_CliWorkload):
                            path, lambda path, n=n, length=length, lip=lip:
                            _check_analyze(path, n, length, lip))
         path = os.path.join(self.out_dir, f"weights-{DUMP_N}.csv")
+        self.dump_speed.reprobe()
         self._call(ops, f"dump.N{DUMP_N}",
                    ["dump-weights", "--problem", DUMP_PROBLEM, "--n", str(DUMP_N)],
-                   path, lambda path: _check_dump(path, DUMP_N, self.problems[DUMP_PROBLEM][0]))
-        wall = time.perf_counter() - t0
-        return PassResult(ops=ops, wall_s=wall)
+                   path, lambda path: _check_dump(path, DUMP_N, self.problems[DUMP_PROBLEM][0]),
+                   sp=self.dump_speed)
+        return PassResult(ops=ops)
 
     @staticmethod
     def summary(passes: list[PassResult]) -> dict:
         def median_s(kind):
-            return statistics.median(op.seconds for p in passes for op in p.ops if op.kind == kind)
+            return statistics.median(op.norm_s for p in passes for op in p.ops if op.kind == kind)
 
         analyze, dump = median_s("analyze.N2048"), median_s(f"dump.N{DUMP_N}")
         small = {op.kind for op in passes[0].ops} - {"analyze.N2048"}
-        return {"wall_s": (statistics.median(p.wall_s for p in passes), "s"),
+        return {"wall_s": (statistics.median(p.norm_wall_s for p in passes), "s"),
                 "fast_op_ms": (1e3 * _median_small_call(passes, small), "ms"),
                 "slow_op_ms": (1e3 * analyze, "ms"),
                 "analyze_s.N2048": (analyze, "s"), "dump_weights_s.N256": (dump, "s")}
