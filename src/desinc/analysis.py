@@ -35,23 +35,6 @@ class GSAnalysis:
     w: float
     contraction: bool
 
-    def csv_row(self, N: int, h: float, L: float, length: float) -> list:
-        return [
-            N,
-            h,
-            L,
-            length,
-            self.e_norm,
-            self.df_norm,
-            self.w,
-            self.mgs_norm,
-            "" if self.mgs_bound is None else self.mgs_bound,
-            self.contraction,
-        ]
-
-    CSV_HEADER = ["N", "h", "L", "b_minus_a", "e_norm", "df_norm", "w",
-                  "mgs_norm", "mgs_bound", "contraction"]
-
 
 @dataclass(frozen=True)
 class AssumptionReport:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import GSAnalysis, analyze, check_assumptions
+from .analysis import analyze, check_assumptions
 from .grid import build_grid
 from .problems import TestProblem, problem_from_name
 from .solver import NotConvergedError, reference_solution, solve
@@ -64,18 +64,29 @@ def _fmt(v) -> str:
 
 
 class _CsvSink:
+    """The output of one command: the file at path, or stdout for '-'.
+
+    Use it in a with block, which closes the file (never stdout).
+    """
+
     def __init__(self, path: str):
-        self.path = path
         self._fh = sys.stdout if path == "-" else open(path, "w", encoding="utf-8", newline="")
         self._writer = csv.writer(self._fh, lineterminator="\n")
+
+    def __enter__(self) -> "_CsvSink":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._fh is not sys.stdout:
+            self._fh.close()
 
     def row(self, values) -> None:
         self._writer.writerow([_fmt(v) for v in values])
         self._fh.flush()
 
-    def close(self) -> None:
-        if self._fh is not sys.stdout:
-            self._fh.close()
+    def line(self, text: str) -> None:
+        """Write one already formatted line."""
+        self._fh.write(text + "\n")
 
 
 def _e1(tp: TestProblem, x_nodes: np.ndarray, times: np.ndarray) -> float:
@@ -87,10 +98,9 @@ def cmd_solve(cfg: RunConfig) -> int:
     """Per-N accuracy sweep: solve and compare node values against the
     exact solution."""
     tp = problem_from_name(cfg.problem)
-    sink = _CsvSink(cfg.output)
-    sink.row(["N", "h", "E1", "sweeps", "converged"])
     status = EXIT_OK
-    try:
+    with _CsvSink(cfg.output) as sink:
+        sink.row(["N", "h", "E1", "sweeps", "converged"])
         for n in sorted(cfg.n_list):
             grid = build_grid(tp.problem.iv, n, cfg.h_override)
             try:
@@ -101,8 +111,6 @@ def cmd_solve(cfg: RunConfig) -> int:
                 status = EXIT_NOT_CONVERGED
             e1 = _e1(tp, sol.x_nodes, grid.t)
             sink.row([n, grid.h, e1, len(trace.z_norms), trace.converged])
-    finally:
-        sink.close()
     _maybe_plot_script(cfg, x_col="N", y_col="E1", logy=True)
     return status
 
@@ -119,14 +127,11 @@ def cmd_trace(cfg: RunConfig) -> int:
     ref = reference_solution(tp.problem, grid, wm=wm)
     _, trace = solve(tp.problem, grid, method=cfg.method, tol=0.0,
                      max_sweeps=cfg.max_sweeps, store_iterates=True, wm=wm)
-    sink = _CsvSink(cfg.output)
-    try:
+    with _CsvSink(cfg.output) as sink:
         sink.row(["nu", "E2", "z_norm"])
         for nu, (it, z) in enumerate(zip(trace.iterates, trace.z_norms), start=1):
             e2 = float(np.max(np.abs(it - ref.x_nodes)))
             sink.row([nu, e2, z])
-    finally:
-        sink.close()
     _maybe_plot_script(cfg, x_col="nu", y_col="E2", logy=True)
     return EXIT_OK
 
@@ -136,18 +141,18 @@ def cmd_analyze(cfg: RunConfig) -> int:
     tp = problem_from_name(cfg.problem)
     if tp.problem.lip is None:
         raise ValueError(f"problem {cfg.problem!r} supplies no Lipschitz constant")
-    sink = _CsvSink(cfg.output)
-    try:
-        sink.row(GSAnalysis.CSV_HEADER + ["cond_iii_ok", "cond_lbound_ok"])
+    lip = tp.problem.lip
+    with _CsvSink(cfg.output) as sink:
+        sink.row(["N", "h", "L", "b_minus_a", "e_norm", "df_norm", "w", "mgs_norm",
+                  "mgs_bound", "contraction", "cond_iii_ok", "cond_lbound_ok"])
         for n in sorted(cfg.n_list):
             grid = build_grid(tp.problem.iv, n, cfg.h_override)
             wm = build_weights(grid)
-            res = analyze(wm, tp.problem.lip)
+            res = analyze(wm, lip)
             rep = check_assumptions(tp.problem, wm)
-            sink.row(res.csv_row(n, grid.h, tp.problem.lip, grid.iv.length)
-                     + [rep.cond_iii_ok, rep.cond_lbound_ok])
-    finally:
-        sink.close()
+            sink.row([n, grid.h, lip, grid.iv.length, res.e_norm, res.df_norm, res.w,
+                      res.mgs_norm, "" if res.mgs_bound is None else res.mgs_bound,
+                      res.contraction, rep.cond_iii_ok, rep.cond_lbound_ok])
     _maybe_plot_script(cfg, x_col="N", y_col="mgs_norm", logy=True)
     return EXIT_OK
 
@@ -160,13 +165,9 @@ def cmd_dump_weights(cfg: RunConfig) -> int:
     tp = problem_from_name(cfg.problem)
     grid = build_grid(tp.problem.iv, cfg.n_list[0], cfg.h_override)
     wm = build_weights(grid)
-    fh = sys.stdout if cfg.output == "-" else open(cfg.output, "w", encoding="utf-8", newline="")
-    try:
+    with _CsvSink(cfg.output) as sink:
         for row in wm.w:
-            fh.write(",".join(f"{v:.17e}" for v in row) + "\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+            sink.line(",".join(f"{v:.17e}" for v in row))
     return EXIT_OK
 
 
@@ -198,78 +199,74 @@ def _maybe_plot_script(cfg: RunConfig, x_col: str, y_col: str, logy: bool) -> No
         ))
 
 
+# name -> (command, its --help line)
+_COMMANDS = {
+    "solve": (cmd_solve, "accuracy sweep over N"),
+    "trace": (cmd_trace, "per-sweep iteration trace at a single N"),
+    "analyze": (cmd_analyze, "convergence analysis over N"),
+    "dump-weights": (cmd_dump_weights, "dump the dense weight matrix as CSV"),
+}
+
+# Every option in --help order: flag -> (the RunConfig field it sets, which
+# is also its config-file key; argparse keywords).  --config sets no field:
+# its file is applied first, then the flags that were given.
+_OPTIONS = {
+    "--problem": ("problem", {"help": "example1 | example2:n=11 | example3 | lv:m=3:seed=0"}),
+    "--n": ("n_list", {"help": "comma-separated list of N values"}),
+    "--method": ("method", {"choices": ["jacobi", "gauss_seidel"]}),
+    "--tol": ("tol", {"type": float}),
+    "--max-sweeps": ("max_sweeps", {"type": int}),
+    "--h": ("h_override", {"type": float, "help": "override the default step log(N)/N"}),
+    "--out": ("output", {"help": "output CSV path ('-' for stdout)"}),
+    "--config": (None, {"help": "JSON config file; flags override its values"}),
+    "--plot-script": ("plot_script", {"help": "also write a companion matplotlib script"}),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="desinc",
         description="DE Sinc-collocation IVP solver and Gauss-Seidel convergence analysis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("solve", "accuracy sweep over N"),
-        ("trace", "per-sweep iteration trace at a single N"),
-        ("analyze", "convergence analysis over N"),
-        ("dump-weights", "dump the dense weight matrix as CSV"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--problem", help="example1 | example2:n=11 | example3 | lv:m=3:seed=0")
-        p.add_argument("--n", help="comma-separated list of N values")
-        p.add_argument("--method", choices=["jacobi", "gauss_seidel"])
-        p.add_argument("--tol", type=float)
-        p.add_argument("--max-sweeps", type=int)
-        p.add_argument("--h", type=float, help="override the default step log(N)/N")
-        p.add_argument("--out", help="output CSV path ('-' for stdout)")
-        p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--plot-script", help="also write a companion matplotlib script")
+        for flag, (_, kwargs) in _OPTIONS.items():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
-_CONFIG_KEYS = {"problem", "n_list", "method", "tol", "max_sweeps", "h_override",
-                "output", "plot_script"}
-
-
 def _load_config(args: argparse.Namespace) -> RunConfig:
+    # argparse stores --max-sweeps as args.max_sweeps
+    flags = {key: getattr(args, flag[2:].replace("-", "_"))
+             for flag, (key, _) in _OPTIONS.items() if key is not None}
     cfg = RunConfig()
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             data = json.load(fh)
-        unknown = set(data) - _CONFIG_KEYS
+        unknown = set(data) - set(flags)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, val in data.items():
             setattr(cfg, key, val)
-    if args.problem is not None:
-        cfg.problem = args.problem
-    if args.n is not None:
-        cfg.n_list = [int(v) for v in args.n.split(",") if v]
-    if args.method is not None:
-        cfg.method = args.method
-    if args.tol is not None:
-        cfg.tol = args.tol
-    if args.max_sweeps is not None:
-        cfg.max_sweeps = args.max_sweeps
-    if args.h is not None:
-        cfg.h_override = args.h
-    if args.out is not None:
-        cfg.output = args.out
-    if args.plot_script is not None:
-        cfg.plot_script = args.plot_script
+    for key, val in flags.items():
+        if val is None:
+            continue
+        if key == "n_list":
+            # parsed here, not by argparse, so that a malformed list is an
+            # invalid configuration (exit 2) rather than a usage error
+            val = [int(v) for v in val.split(",") if v]
+        setattr(cfg, key, val)
     cfg.validate()
     return cfg
-
-
-_COMMANDS = {
-    "solve": cmd_solve,
-    "trace": cmd_trace,
-    "analyze": cmd_analyze,
-    "dump-weights": cmd_dump_weights,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        return _COMMANDS[args.command](cfg)
+        command, _ = _COMMANDS[args.command]
+        return command(cfg)
     except (ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -158,7 +158,8 @@ def solve(
     tol = 0 disables the convergence check: exactly max_sweeps sweeps are
     performed and the result is returned unconverged without raising.
     With tol > 0, failure to converge raises NotConvergedError carrying
-    the solution and trace.
+    the solution and trace; the iteration stops at the first sweep whose
+    difference norm is NaN or inf.
     """
     if method not in ("jacobi", "gauss_seidel"):
         raise ValueError(f"unknown method {method!r}")
@@ -185,6 +186,10 @@ def solve(
             trace.iterates.append(state.copy())
         if tol > 0.0 and z < tol:
             trace.converged = True
+            break
+        if tol > 0.0 and not np.isfinite(z):
+            # a NaN or inf iterate cannot recover; the sweeps left would
+            # only repeat the failing rhs calls
             break
 
     f_nodes = fvals if fvals is not None else _eval_rhs_all(prob, grid, state)

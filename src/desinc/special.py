@@ -136,15 +136,17 @@ def dphi_de(s, iv: Interval):
 def phi_de_inv(t: float, iv: Interval) -> float:
     """Inverse of the DE transform.
 
-    Endpoint inputs are clamped inward by one machine epsilon of (b - a):
-    the transform is a bijection onto the open interval, and the inverse is
-    only ever needed for t in [a, b].
+    Endpoint inputs are clamped inward to the nearest float inside (-1, 1)
+    of the normalised coordinate u = (2t - a - b) / (b - a): the transform
+    is a bijection onto the open interval, and the inverse is only ever
+    needed for t in [a, b].  Clamping u rather than t works for any
+    interval, including one far from 0 where (b - a) * eps is below an ulp
+    of t.
     """
     if not iv.a <= t <= iv.b:
         raise ValueError(f"t = {t} outside interval [{iv.a}, {iv.b}]")
-    eps = iv.length * 2.2e-16
-    t = min(max(t, iv.a + eps), iv.b - eps)
-    u = (2.0 * t - iv.a - iv.b) / iv.length
+    u_max = math.nextafter(1.0, 0.0)
+    u = min(max((2.0 * t - iv.a - iv.b) / iv.length, -u_max), u_max)
     return math.asinh(2.0 / math.pi * math.atanh(u))
 
 

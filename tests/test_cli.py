@@ -1,10 +1,13 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from desinc import cli
 from desinc.cli import EXIT_BAD_CONFIG, EXIT_NOT_CONVERGED, EXIT_OK, main
+from desinc.problems import example1
 
 
 def read_csv(path):
@@ -103,12 +106,23 @@ class TestAnalyzeCommand:
         assert a[0] == pytest.approx(b[0], abs=1e-12)
         assert a[1] == pytest.approx(b[1], abs=1e-15)
 
-    def test_bound_column_empty_without_hypothesis(self, tmp_path):
-        # example2 on its full interval has 1.1*L*(b-a) = 0.55 < 1; force a
-        # violation with a custom h? Simpler: lv problems carry no L at all.
+    def test_bound_column_empty_without_hypothesis(self, tmp_path, monkeypatch):
+        # lv problems carry no L at all: no analysis is possible
         rc = main(["analyze", "--problem", "lv:m=2:seed=0", "--n", "8",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_BAD_CONFIG
+        # example1 with L = 2 has 1.1*L*(b-a) = 1.1 >= 1: no closed-form bound
+        tp = example1()
+        steep = dataclasses.replace(tp, problem=dataclasses.replace(tp.problem, lip=2.0))
+        monkeypatch.setattr(cli, "problem_from_name", lambda spec: steep)
+        out = tmp_path / "steep.csv"
+        rc = main(["analyze", "--problem", "example1", "--n", "8", "--out", str(out)])
+        assert rc == EXIT_OK
+        rows = read_csv(out)
+        row = dict(zip(rows[0], rows[1]))
+        assert row["L"] == "2.0"
+        assert row["mgs_bound"] == ""
+        assert row["cond_lbound_ok"] == "false"
 
     def test_bound_sweep_decreasing(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -132,20 +146,39 @@ class TestDumpWeights:
         assert np.max(np.abs(mat - wm.w)) < 1e-16
 
 
+# flag, config key, value in the file, value on the command line, and the
+# RunConfig value that flag gives
+FLAG_CASES = [
+    ("--problem", "problem", "example2:n=3", "example3", "example3"),
+    ("--n", "n_list", [8], "16,32", [16, 32]),
+    ("--method", "method", "jacobi", "gauss_seidel", "gauss_seidel"),
+    ("--tol", "tol", 1e-10, "1e-12", 1e-12),
+    ("--max-sweeps", "max_sweeps", 40, "7", 7),
+    ("--h", "h_override", 0.25, "0.5", 0.5),
+    ("--out", "output", "a.csv", "b.csv", "b.csv"),
+    ("--plot-script", "plot_script", "a.py", "b.py", "b.py"),
+]
+
+
 class TestConfigHandling:
-    def test_config_file_with_flag_override(self, tmp_path):
+    @pytest.mark.parametrize("flag, key, file_val, flag_val, flag_cfg_val",
+                             [pytest.param(*case, id=case[0]) for case in FLAG_CASES])
+    def test_config_file_with_flag_override(self, tmp_path,
+                                            flag, key, file_val, flag_val, flag_cfg_val):
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"problem": "example1", "n_list": [8],
-                                       "method": "jacobi", "max_sweeps": 40}))
-        out = tmp_path / "out.csv"
-        rc = main(["solve", "--config", str(cfgfile), "--n", "16", "--out", str(out)])
-        assert rc == EXIT_OK
-        rows = read_csv(out)
-        assert rows[1][0] == "16"
+        cfgfile.write_text(json.dumps({key: file_val}))
+
+        def load(*flags):
+            args = cli._build_parser().parse_args(["solve", "--config", str(cfgfile), *flags])
+            return cli._load_config(args)
+
+        assert getattr(load(flag, flag_val), key) == flag_cfg_val  # the flag wins
+        assert getattr(load(), key) == file_val  # an unset flag keeps the file value
 
     def test_invalid_inputs_exit_2(self, tmp_path):
         assert main(["solve", "--problem", "nope", "--out", "-"]) == EXIT_BAD_CONFIG
         assert main(["solve", "--problem", "example1", "--n", "1"]) == EXIT_BAD_CONFIG
+        assert main(["solve", "--problem", "example1", "--n", "abc"]) == EXIT_BAD_CONFIG
         assert main(["solve", "--problem", "example1", "--tol", "-1"]) == EXIT_BAD_CONFIG
         assert main(["solve", "--config", str(tmp_path / "missing.json")]) == EXIT_BAD_CONFIG
         bad = tmp_path / "bad.json"

@@ -186,6 +186,22 @@ class TestSolve:
         assert len(err.value.trace.z_norms) == 2
         assert err.value.solution.x_nodes.shape == (g.m, 3)
 
+    @pytest.mark.parametrize("method", ["gauss_seidel", "jacobi"])
+    def test_non_finite_rhs_stops_at_first_sweep(self, method):
+        calls = []
+
+        def rhs(t, x):
+            calls.append(t)
+            return x if t <= 0.4 else np.full_like(x, np.nan)
+
+        prob = IVProblem(n=1, rhs=rhs, x_a=np.array([1.0]), iv=Interval(0.0, 1.0))
+        g = build_grid(prob.iv, 16)
+        with pytest.raises(NotConvergedError) as err:
+            solve(prob, g, method=method, tol=1e-14, max_sweeps=50)
+        assert len(err.value.trace.z_norms) == 1
+        assert math.isnan(err.value.trace.z_norms[0])
+        assert len(calls) <= 2 * g.m
+
     def test_rejects_bad_arguments(self):
         tp = example1()
         g = build_grid(tp.problem.iv, 4)

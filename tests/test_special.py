@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from desinc.grid import build_grid
+from desinc.solver import IVProblem, evaluate, solve
 from desinc.special import Interval, dphi_de, j_kernel, phi_de, phi_de_inv, si, sinc
 
 from oracles import central_difference, si_quadrature
@@ -119,11 +121,16 @@ class TestPhiDEInv:
         for t in (0.3, 0.05, 0.92):
             assert phi_de(phi_de_inv(t, iv), iv) == pytest.approx(t, rel=1e-12)
 
-    def test_endpoints_clamped_finite(self):
-        iv = Interval(0.0, 1.0)
-        assert math.isfinite(phi_de_inv(0.0, iv))
-        assert math.isfinite(phi_de_inv(1.0, iv))
-        assert phi_de_inv(1.0, iv) > 0
+    @pytest.mark.parametrize("iv", [Interval(0.0, 1.0), Interval(1e6, 1e6 + 1.0)],
+                             ids=["unit", "shifted"])
+    def test_endpoints_clamped_finite(self, iv):
+        # on the shifted interval one ulp of t exceeds (b - a) * eps
+        assert math.isfinite(phi_de_inv(iv.a, iv))
+        assert math.isfinite(phi_de_inv(iv.b, iv))
+        assert phi_de_inv(iv.a, iv) < 0 < phi_de_inv(iv.b, iv)
+        prob = IVProblem(n=1, rhs=lambda t, x: x, x_a=np.array([1.0]), iv=iv)
+        sol, _ = solve(prob, build_grid(iv, 16))
+        assert evaluate(sol, iv.b)[0] == pytest.approx(math.e, rel=1e-9)
 
     def test_rejects_outside(self):
         iv = Interval(0.0, 1.0)
