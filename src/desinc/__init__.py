@@ -33,7 +33,7 @@ from .solver import (
     reference_solution,
     solve,
 )
-from .special import Interval, dphi_de, j_kernel, phi_de, phi_de_inv, si, sinc
+from .special import Interval, dphi_de, j_kernel, phi_de, phi_de_inv, si
 from .weights import TriangularSplit, WeightMatrix, build_weights, row_sum_norm, split
 
 __version__ = "0.1.0"
@@ -46,6 +46,6 @@ __all__ = [
     "lv_exact", "miura_to_lv", "toda_solve",
     "IterationTrace", "IVProblem", "NotConvergedError", "SincSolution",
     "evaluate", "gauss_seidel_sweep", "jacobi_sweep", "reference_solution", "solve",
-    "Interval", "dphi_de", "j_kernel", "phi_de", "phi_de_inv", "si", "sinc",
+    "Interval", "dphi_de", "j_kernel", "phi_de", "phi_de_inv", "si",
     "TriangularSplit", "WeightMatrix", "build_weights", "row_sum_norm", "split",
 ]

@@ -25,6 +25,9 @@ __all__ = [
     "analyze",
 ]
 
+# difference norms below this many ulps of the first one are roundoff
+_ROUNDOFF_FLOOR = 1e2
+
 
 @dataclass(frozen=True)
 class GSAnalysis:
@@ -47,17 +50,18 @@ class AssumptionReport:
 def mgs_norm_exact(tsplit: TriangularSplit, L: float) -> float:
     """Exact infinity norm of (I - L|E|)^{-1} L(|D|+|F|).
 
-    The system matrix is unit lower triangular, so forward substitution
-    gives the exact answer in finitely many steps (the Neumann series of
-    the inverse terminates).
+    The system matrix is unit lower triangular, so one forward
+    substitution gives the exact answer in finitely many steps (the
+    Neumann series of the inverse terminates).
     """
     if L <= 0.0:
         raise ValueError("Lipschitz constant must be positive")
-    m = len(tsplit.d)
-    sys = np.eye(m) - L * np.abs(tsplit.e)
-    bmat = L * (np.diag(np.abs(tsplit.d)) + np.abs(tsplit.f))
-    y = solve_triangular(sys, bmat, lower=True, unit_diagonal=True)
-    return row_sum_norm(y)
+    # every factor is entrywise nonnegative, so the row sums of the product
+    # are the product applied to the all-ones vector
+    rhs = L * (np.abs(tsplit.d) + np.abs(tsplit.f).sum(axis=1))
+    # unit_diagonal: LAPACK reads only the strictly lower triangle
+    y = solve_triangular(-L * np.abs(tsplit.e), rhs, lower=True, unit_diagonal=True)
+    return float(y.max())
 
 
 def mgs_bound(L: float, iv: Interval, h: float, N: int) -> float:
@@ -107,11 +111,11 @@ def check_assumptions(prob: IVProblem, wm: WeightMatrix) -> AssumptionReport:
                             w=w, details=details)
 
 
-def convergence_factor_observed(trace: IterationTrace, floor_factor: float = 1e2) -> float:
+def convergence_factor_observed(trace: IterationTrace) -> float:
     """Geometric mean of successive sweep-difference ratios.
 
     Ratios are dropped once the difference norm falls below
-    floor_factor * machine epsilon * (initial norm): past that point the
+    _ROUNDOFF_FLOOR * machine epsilon * (initial norm): past that point the
     iterates only move by roundoff and the ratios are meaningless.
     """
     z = trace.z_norms
@@ -119,7 +123,7 @@ def convergence_factor_observed(trace: IterationTrace, floor_factor: float = 1e2
         raise ValueError("need at least 3 difference norms to estimate a factor")
     if any(v == 0.0 for v in z):
         raise ValueError("difference norms must be nonzero")
-    floor = floor_factor * np.finfo(float).eps * z[0]
+    floor = _ROUNDOFF_FLOOR * np.finfo(float).eps * z[0]
     ratios = [z[k + 1] / z[k] for k in range(len(z) - 1)
               if z[k] > floor and z[k + 1] > floor]
     if not ratios:
@@ -132,7 +136,7 @@ def analyze(wm: WeightMatrix, L: float) -> GSAnalysis:
     grid = wm.grid
     tsplit = split(wm)
     e_norm = row_sum_norm(tsplit.e)
-    df_norm = row_sum_norm(np.diag(tsplit.d) + tsplit.f)
+    df_norm = row_sum_norm(np.triu(wm.w))
     w = row_sum_norm(wm.w)
     norm = mgs_norm_exact(tsplit, L)
     try:

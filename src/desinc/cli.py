@@ -51,6 +51,8 @@ class RunConfig:
             raise ValueError("max-sweeps must be at least 1")
         if self.h_override is not None and self.h_override <= 0.0:
             raise ValueError("h must be positive")
+        if self.plot_script is not None and self.output == "-":
+            raise ValueError("--plot-script needs --out FILE: the script reads the CSV file")
 
 
 def _fmt(v) -> str:
@@ -162,6 +164,8 @@ def cmd_dump_weights(cfg: RunConfig) -> int:
     scientific notation."""
     if len(cfg.n_list) != 1:
         raise ValueError("dump-weights needs exactly one N")
+    if cfg.plot_script is not None:
+        raise ValueError("dump-weights writes no plot script; drop --plot-script")
     tp = problem_from_name(cfg.problem)
     grid = build_grid(tp.problem.iv, cfg.n_list[0], cfg.h_override)
     wm = build_weights(grid)
@@ -190,7 +194,7 @@ plt.ylabel({y!r})
 
 
 def _maybe_plot_script(cfg: RunConfig, x_col: str, y_col: str, logy: bool) -> None:
-    if cfg.plot_script is None or cfg.output == "-":
+    if cfg.plot_script is None:
         return
     with open(cfg.plot_script, "w", encoding="utf-8") as fh:
         fh.write(_PLOT_TEMPLATE.format(

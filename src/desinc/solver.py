@@ -112,11 +112,22 @@ def _eval_rhs_all(prob: IVProblem, grid: DEGrid, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def jacobi_sweep(prob: IVProblem, wm: WeightMatrix, cur: np.ndarray) -> np.ndarray:
+def jacobi_sweep(
+    prob: IVProblem,
+    wm: WeightMatrix,
+    state: np.ndarray,
+    fvals: np.ndarray | None = None,
+) -> np.ndarray:
     """One Jacobi sweep: every node is recomputed from the previous sweep
-    only."""
-    fvals = _eval_rhs_all(prob, wm.grid, cur)
-    return prob.x_a[None, :] + wm.w @ fvals
+    only, into a new array; state is left unchanged.  fvals is the rhs
+    cache described in gauss_seidel_sweep.
+    """
+    grid = wm.grid
+    if fvals is None:
+        fvals = _eval_rhs_all(prob, grid, state)
+    new = prob.x_a[None, :] + wm.w @ fvals
+    fvals[:] = _eval_rhs_all(prob, grid, new)
+    return new
 
 
 def gauss_seidel_sweep(
@@ -172,15 +183,14 @@ def solve(
 
     state = np.tile(prob.x_a, (grid.m, 1))
     trace = IterationTrace(iterates=[] if store_iterates else None)
-    fvals = _eval_rhs_all(prob, grid, state) if method == "gauss_seidel" else None
+    fvals = _eval_rhs_all(prob, grid, state)
+    # looked up per call, so that a wrapper rebound onto the name is called
+    sweep = jacobi_sweep if method == "jacobi" else gauss_seidel_sweep
 
     for _ in range(max_sweeps):
         prev = state.copy()
-        if method == "jacobi":
-            state = jacobi_sweep(prob, wm, state)
-        else:
-            state = gauss_seidel_sweep(prob, wm, state, fvals)
-        z = float(np.max(np.abs(state - prev))) if grid.m else 0.0
+        state = sweep(prob, wm, state, fvals)
+        z = float(np.max(np.abs(state - prev)))
         trace.z_norms.append(z)
         if store_iterates:
             trace.iterates.append(state.copy())
@@ -192,8 +202,7 @@ def solve(
             # only repeat the failing rhs calls
             break
 
-    f_nodes = fvals if fvals is not None else _eval_rhs_all(prob, grid, state)
-    sol = SincSolution(grid=grid, x_nodes=state.copy(), f_nodes=f_nodes.copy(), x_a=prob.x_a)
+    sol = SincSolution(grid=grid, x_nodes=state.copy(), f_nodes=fvals.copy(), x_a=prob.x_a)
     if tol > 0.0 and not trace.converged:
         raise NotConvergedError(sol, trace)
     return sol, trace

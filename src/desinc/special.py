@@ -1,4 +1,4 @@
-"""Scalar special functions: sinc, the sine integral, and the
+"""Scalar special functions: the sine integral and the
 double-exponential variable transform with its derivative, inverse and
 indefinite-integration kernel.
 
@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "Interval",
-    "sinc",
     "si",
     "phi_de",
     "dphi_de",
@@ -23,7 +22,6 @@ __all__ = [
     "j_kernel",
 ]
 
-_SINC_SERIES_CUTOFF = 1e-4
 # Power series / continued fraction crossover for the sine integral.  The
 # Maclaurin series loses ~1 digit per unit of x to cancellation, so it is
 # only used where that loss is negligible.
@@ -50,19 +48,6 @@ class Interval:
     @property
     def midpoint(self) -> float:
         return 0.5 * (self.a + self.b)
-
-
-def sinc(x: float) -> float:
-    """sin(pi*x)/(pi*x), with the removable singularity filled in.
-
-    Near zero a 3-term series avoids the 0/0 and the cancellation in
-    sin(pi*x).
-    """
-    if abs(x) < _SINC_SERIES_CUTOFF:
-        z = (math.pi * x) ** 2
-        return 1.0 - z / 6.0 * (1.0 - z / 20.0)
-    px = math.pi * x
-    return math.sin(px) / px
 
 
 def _si_series(x: float) -> float:

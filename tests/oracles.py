@@ -1,6 +1,7 @@
 """Independent reference implementations used only to check the library:
-a fixed-step RK4 integrator, a quadrature-based sine integral, and a
-literal double-loop Gauss-Seidel sweep.
+a fixed-step RK4 integrator, a quadrature-based sine integral, a literal
+double-loop Gauss-Seidel sweep, and the comparison-matrix norm through a
+dense inverse.
 """
 
 from __future__ import annotations
@@ -57,3 +58,13 @@ def gauss_seidel_sweep_naive(x_a, w, tgrid, rhs, state):
 
 def central_difference(f, x, step=1e-6):
     return (f(x + step) - f(x - step)) / (2.0 * step)
+
+
+def mgs_norm_dense(w, L):
+    """Infinity norm of (I - L|E|)^{-1} L(|D|+|F|) for the weight matrix w,
+    formed with a dense inverse and a full matrix product."""
+    a = np.abs(np.asarray(w, dtype=float))
+    m = a.shape[0]
+    inv = np.linalg.inv(np.eye(m) - L * np.tril(a, k=-1))
+    y = inv @ (L * np.triu(a))
+    return float(np.max(np.sum(np.abs(y), axis=1)))

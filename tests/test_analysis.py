@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from desinc.analysis import (
     analyze,
@@ -14,7 +16,9 @@ from desinc.grid import build_grid
 from desinc.problems import example1, example2
 from desinc.solver import IterationTrace, IVProblem, solve
 from desinc.special import Interval
-from desinc.weights import TriangularSplit, build_weights, split
+from desinc.weights import TriangularSplit, build_weights, row_sum_norm, split
+
+from oracles import mgs_norm_dense
 
 
 def neumann_oracle(tsplit, L):
@@ -51,6 +55,16 @@ class TestMgsNormExact:
         g = build_grid(Interval(0.0, 0.5), N)
         ts = split(build_weights(g))
         assert mgs_norm_exact(ts, L=1.0) == pytest.approx(neumann_oracle(ts, 1.0), abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(N=st.integers(2, 48),
+           a=st.floats(-1.0, 1.0),
+           length=st.floats(0.05, 2.0),
+           L=st.floats(0.0, 1.5, exclude_min=True))
+    def test_matches_dense_inverse(self, N, a, length, L):
+        wm = build_weights(build_grid(Interval(a, a + length), N))
+        ref = mgs_norm_dense(wm.w, L)
+        assert mgs_norm_exact(split(wm), L) == pytest.approx(ref, rel=1e-12)
 
     def test_rejects_nonpositive_l(self):
         ts = TriangularSplit(d=np.ones(2), e=np.zeros((2, 2)), f=np.zeros((2, 2)))
@@ -156,6 +170,11 @@ class TestAnalyze:
         assert res.mgs_norm <= res.mgs_bound
         assert res.e_norm <= 1.1 * g.iv.length
         assert res.w <= res.e_norm + res.df_norm + 1e-15
+
+    def test_df_norm_is_norm_of_diagonal_plus_upper(self):
+        wm = build_weights(build_grid(Interval(0.0, 0.5), 16))
+        ts = split(wm)
+        assert analyze(wm, 1.0).df_norm == row_sum_norm(np.diag(ts.d) + ts.f)
 
     def test_bound_absent_when_hypothesis_fails(self):
         g = build_grid(Interval(0.0, 1.0), 8)

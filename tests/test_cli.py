@@ -166,7 +166,8 @@ class TestConfigHandling:
     def test_config_file_with_flag_override(self, tmp_path,
                                             flag, key, file_val, flag_val, flag_cfg_val):
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({key: file_val}))
+        # an output file, because --plot-script needs one
+        cfgfile.write_text(json.dumps({"output": "out.csv", key: file_val}))
 
         def load(*flags):
             args = cli._build_parser().parse_args(["solve", "--config", str(cfgfile), *flags])
@@ -193,3 +194,20 @@ class TestConfigHandling:
         assert rc == EXIT_OK
         assert script.exists()
         compile(script.read_text(), str(script), "exec")
+
+    def test_plot_script_without_output_file_rejected(self, tmp_path, capsys):
+        script = tmp_path / "plot.py"
+        rc = main(["solve", "--problem", "example1", "--n", "8", "--plot-script", str(script)])
+        assert rc == EXIT_BAD_CONFIG
+        assert not script.exists()
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: --plot-script needs --out FILE")
+
+    def test_plot_script_rejected_by_dump_weights(self, tmp_path, capsys):
+        out, script = tmp_path / "w.csv", tmp_path / "plot.py"
+        rc = main(["dump-weights", "--problem", "example1", "--n", "4",
+                   "--out", str(out), "--plot-script", str(script)])
+        assert rc == EXIT_BAD_CONFIG
+        assert not out.exists() and not script.exists()
+        assert capsys.readouterr().err.startswith("error: dump-weights writes no plot script")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from desinc.problems import (
     LRDecompositionError,
@@ -14,7 +15,6 @@ from desinc.problems import (
     lv_exact,
     lv_random,
     lv_rhs,
-    matrix_exp,
     miura_to_lv,
     problem_from_name,
     toda_rhs_check,
@@ -93,22 +93,6 @@ class TestExamples:
         )
 
 
-class TestMatrixExp:
-    def test_zero_matrix(self):
-        assert np.array_equal(matrix_exp(np.zeros((3, 3))), np.eye(3))
-
-    def test_diagonal(self):
-        lam = np.array([0.5, -1.0, 2.0])
-        out = matrix_exp(np.diag(lam), t=1.5)
-        assert np.allclose(out, np.diag(np.exp(1.5 * lam)), rtol=1e-13)
-
-    def test_paper_two_by_two(self):
-        out = matrix_exp(PAPER_TODA.lax_matrix(), t=1.0)
-        e4, e2 = math.exp(4.0), math.exp(2.0)
-        expected = 0.5 * np.array([[e4 + e2, e4 - e2], [e4 - e2, e4 + e2]])
-        assert np.allclose(out, expected, rtol=1e-12)
-
-
 class TestLRDecompose:
     def test_identity(self):
         low, up = lr_decompose(np.eye(4))
@@ -117,9 +101,9 @@ class TestLRDecompose:
 
     def test_paper_lower_factor(self):
         t = 0.7
-        low, up = lr_decompose(matrix_exp(PAPER_TODA.lax_matrix(), t))
+        low, up = lr_decompose(expm(t * PAPER_TODA.lax_matrix()))
         assert low[1, 0] == pytest.approx(math.tanh(t), rel=1e-12)
-        assert np.allclose(low @ up, matrix_exp(PAPER_TODA.lax_matrix(), t), rtol=1e-12)
+        assert np.allclose(low @ up, expm(t * PAPER_TODA.lax_matrix()), rtol=1e-12)
 
     def test_random_diagonally_dominant(self):
         rng = np.random.default_rng(5)
@@ -159,6 +143,14 @@ class TestTodaSolve:
         out = toda_solve(PAPER_TODA, 0.0)
         assert np.array_equal(out.q, PAPER_TODA.q)
         assert np.array_equal(out.e, PAPER_TODA.e)
+
+    def test_paper_lax_exponential(self):
+        # exp(A(0)) is the matrix toda_solve factors; the paper gives it in
+        # closed form for the two-site lattice
+        out = expm(PAPER_TODA.lax_matrix())
+        e4, e2 = math.exp(4.0), math.exp(2.0)
+        expected = 0.5 * np.array([[e4 + e2, e4 - e2], [e4 - e2, e4 + e2]])
+        assert np.allclose(out, expected, rtol=1e-12)
 
     @pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
     def test_paper_closed_form(self, t):

@@ -54,6 +54,17 @@ class TestJacobiSweep:
         after = jacobi_sweep(tp.problem, wm, sol.x_nodes)
         assert np.max(np.abs(after - sol.x_nodes)) < 1e-14
 
+    def test_rhs_cache_follows_returned_state(self):
+        tp = example3()
+        g = build_grid(tp.problem.iv, 8)
+        wm = build_weights(g)
+        state = np.tile(tp.problem.x_a, (g.m, 1))
+        fvals = np.array([tp.problem.rhs(t, x) for t, x in zip(g.t, state)])
+        before = state.copy()
+        out = jacobi_sweep(tp.problem, wm, state, fvals)
+        assert out is not state and np.array_equal(state, before)
+        assert np.array_equal(fvals, [tp.problem.rhs(t, x) for t, x in zip(g.t, out)])
+
 
 class TestGaussSeidelSweep:
     def test_zero_rhs(self):
@@ -201,6 +212,14 @@ class TestSolve:
         assert len(err.value.trace.z_norms) == 1
         assert math.isnan(err.value.trace.z_norms[0])
         assert len(calls) <= 2 * g.m
+
+    @pytest.mark.parametrize("method", ["gauss_seidel", "jacobi"])
+    def test_f_nodes_are_rhs_at_x_nodes(self, method):
+        tp = example3()
+        g = build_grid(tp.problem.iv, 16)
+        sol, _ = solve(tp.problem, g, method=method, tol=0.0, max_sweeps=4)
+        expected = [tp.problem.rhs(t, x) for t, x in zip(g.t, sol.x_nodes)]
+        assert np.array_equal(sol.f_nodes, expected)
 
     def test_rejects_bad_arguments(self):
         tp = example1()

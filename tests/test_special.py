@@ -5,7 +5,7 @@ import pytest
 
 from desinc.grid import build_grid
 from desinc.solver import IVProblem, evaluate, solve
-from desinc.special import Interval, dphi_de, j_kernel, phi_de, phi_de_inv, si, sinc
+from desinc.special import Interval, dphi_de, j_kernel, phi_de, phi_de_inv, si
 
 from oracles import central_difference, si_quadrature
 
@@ -13,24 +13,6 @@ from oracles import central_difference, si_quadrature
 SI_PI = 1.851937051982466
 # frozen high-precision tanh((pi/2) sinh 1)
 TANH_HALF_PI_SINH_1 = 0.9513679640727469
-
-
-class TestSinc:
-    def test_zero(self):
-        assert sinc(0.0) == 1.0
-
-    def test_integers(self):
-        assert sinc(1.0) == pytest.approx(0.0, abs=1e-16)
-        assert sinc(3.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_half(self):
-        assert sinc(0.5) == pytest.approx(2.0 / math.pi, rel=1e-15)
-
-    def test_series_branch_continuity(self):
-        # values just below and above the series cutoff must agree
-        for x in (9.9e-5, 1.01e-4, -9.9e-5):
-            px = math.pi * x
-            assert sinc(x) == pytest.approx(math.sin(px) / px, rel=1e-15)
 
 
 class TestSi:
@@ -186,6 +168,14 @@ class TestJKernel:
             s = j * h + rng.uniform(1e-6, 20.0)
             v = j_kernel(int(j), h, s)
             assert 0.0 < v < h * (0.5 + si_max / math.pi)
+
+    def test_derivative_is_sinc_basis(self):
+        # d/ds J(j, h)(s) = sinc((s - jh)/h): 1 at its own node, 0 at the others
+        h = 0.2
+        for j in (-3, 0, 2):
+            for s in (j * h, (j + 1) * h, (j - 2) * h, j * h + 0.37, -1.1):
+                slope = central_difference(lambda u: j_kernel(j, h, u), s)
+                assert slope == pytest.approx(np.sinc((s - j * h) / h), abs=1e-8)
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
