@@ -135,9 +135,9 @@ def example2(n: int = 11) -> TestProblem:
 def lv_rhs(t: float, x: np.ndarray) -> np.ndarray:
     """Lotka-Volterra field x_k' = x_k (x_{k+1} - x_{k-1}) with zero
     boundary species."""
-    up = np.concatenate([x[1:], [0.0]])
-    down = np.concatenate([[0.0], x[:-1]])
-    return x * (up - down)
+    pad = np.zeros(len(x) + 2)
+    pad[1:-1] = x
+    return x * (pad[2:] - pad[:-2])
 
 
 def example3() -> TestProblem:

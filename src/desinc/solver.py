@@ -96,19 +96,20 @@ class SincSolution:
     x_a: np.ndarray
 
 
-def _eval_rhs(prob: IVProblem, grid: DEGrid, k: int, x: np.ndarray) -> np.ndarray:
+def _eval_rhs(prob: IVProblem, grid: DEGrid, k: int, x: np.ndarray, out: np.ndarray) -> None:
+    """Store rhs(t_k, x) into the node row out.  A failing rhs, or a
+    result that cannot be stored in the row, raises RhsEvaluationError."""
     t = grid.t[k]
     try:
-        out = np.asarray(prob.rhs(t, x), dtype=float)
+        out[...] = prob.rhs(t, x)
     except Exception as exc:
         raise RhsEvaluationError(k - grid.N, t, exc) from exc
-    return np.atleast_1d(out)
 
 
 def _eval_rhs_all(prob: IVProblem, grid: DEGrid, x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     for k in range(grid.m):
-        out[k] = _eval_rhs(prob, grid, k, x[k])
+        _eval_rhs(prob, grid, k, x[k], out[k])
     return out
 
 
@@ -147,10 +148,12 @@ def gauss_seidel_sweep(
     grid = wm.grid
     if fvals is None:
         fvals = _eval_rhs_all(prob, grid, state)
+    w, x_a = wm.w, prob.x_a
     for i in range(grid.m):
+        row = state[i]
         # fvals[i] still holds the previous-sweep value here, as required.
-        state[i] = prob.x_a + wm.w[i] @ fvals
-        fvals[i] = _eval_rhs(prob, grid, i, state[i])
+        np.add(x_a, w[i] @ fvals, out=row)
+        _eval_rhs(prob, grid, i, row, fvals[i])
     return state
 
 

@@ -17,8 +17,15 @@ __all__ = ["WeightMatrix", "TriangularSplit", "build_weights", "split", "row_sum
 
 @dataclass(frozen=True)
 class WeightMatrix:
+    """Dense collocation weights on a grid.
+
+    w[i, j] = dphi[j] * h * (1/2 + Si(pi(i-j))/pi), i.e. w = P diag(dphi)
+    with P Toeplitz; w is a C-contiguous (m, m) array owned by this
+    object.
+    """
+
     m: int
-    w: np.ndarray  # (m, m), w[i, j] = dphi[j] * h * (1/2 + Si(pi(i-j))/pi)
+    w: np.ndarray
     grid: DEGrid
 
 
@@ -33,15 +40,16 @@ def build_weights(grid: DEGrid) -> WeightMatrix:
     """Assemble the weight matrix for a grid.
 
     Only Si at integer multiples of pi is needed, so the sine integral is
-    evaluated 4N+1 times regardless of matrix size.
+    evaluated 4N+1 times (k = -2N..2N, in ascending order) regardless of
+    matrix size.  The Toeplitz factor P[i, j] = gen[i - j + m - 1] is a
+    strided view of the generator, so the only m x m pass is the scaling
+    of its columns by dphi.
     """
     m = grid.m
-    # si_pi[k + 2N] = Si(pi * k) for k = -2N..2N
-    k = np.arange(-(m - 1), m)
-    si_pi = np.array([si(math.pi * kk) for kk in k])
-    i = np.arange(m)
-    diff = i[:, None] - i[None, :]  # i - j
-    p = grid.h * (0.5 + si_pi[diff + (m - 1)] / math.pi)
+    # gen[k + 2N] = h * (1/2 + Si(pi * k)/pi) for k = -2N..2N
+    si_pi = np.array([si(math.pi * k) for k in range(-(m - 1), m)])
+    gen = grid.h * (0.5 + si_pi / math.pi)
+    p = np.lib.stride_tricks.sliding_window_view(gen, m)[:, ::-1]
     w = grid.dphi[None, :] * p
     return WeightMatrix(m=m, w=w, grid=grid)
 

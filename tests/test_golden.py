@@ -1,0 +1,62 @@
+"""CLI outputs compared with golden files in tests/data/golden/.
+
+dump-weights is compared byte for byte.  For solve, the N, h, sweeps and
+converged columns must match exactly and E1 to 1e-15 absolute, because
+the BLAS dot products behind the sweeps may sum in another order on
+another host.
+
+The golden files are written by running this file as a script,
+    PYTHONPATH=src python tests/test_golden.py
+which is only done when an output is meant to change.
+"""
+
+from __future__ import annotations
+
+import csv
+from pathlib import Path
+
+import pytest
+
+from desinc.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+PROBLEMS = ["example1", "example2:n=11", "example3", "lv:m=3:seed=5"]
+SOLVE_N = "8,16,64"
+
+# golden file name -> CLI arguments, without --out
+CASES = {
+    "dump-weights_example1_N8.csv": ["dump-weights", "--problem", "example1", "--n", "8"],
+    "dump-weights_example3_N8.csv": ["dump-weights", "--problem", "example3", "--n", "8"],
+    **{f"solve_{p.replace(':', '_').replace('=', '')}_{method}.csv":
+       ["solve", "--problem", p, "--method", method, "--n", SOLVE_N]
+       for p in PROBLEMS for method in ["gauss_seidel", "jacobi"]},
+}
+
+
+def _run(argv: list[str], out: Path) -> str:
+    assert main(argv + ["--out", str(out)]) == 0
+    return out.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_matches_golden(name, tmp_path):
+    got = _run(CASES[name], tmp_path / name)
+    want = (GOLDEN / name).read_text(encoding="utf-8")
+    if CASES[name][0] == "dump-weights":
+        assert got == want
+        return
+    got_rows = list(csv.DictReader(got.splitlines()))
+    want_rows = list(csv.DictReader(want.splitlines()))
+    assert len(got_rows) == len(want_rows)
+    for g, w in zip(got_rows, want_rows):
+        assert g.keys() == w.keys()
+        for key in ("N", "h", "sweeps", "converged"):
+            assert g[key] == w[key]
+        assert abs(float(g["E1"]) - float(w["E1"])) <= 1e-15
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    for name, argv in CASES.items():
+        _run(argv, GOLDEN / name)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from desinc.problems import (
@@ -204,6 +206,18 @@ class TestMiura:
             fd = (lv_exact(3, s0, t + step) - lv_exact(3, s0, t - step)) / (2 * step)
             x = lv_exact(3, s0, t)
             assert np.max(np.abs(fd - lv_rhs(t, x))) < 1e-7
+
+
+class TestLvRhs:
+    @given(x=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=9))
+    def test_matches_concatenate_formula(self, x):
+        x = np.array(x)
+        up = np.concatenate([x[1:], [0.0]])
+        down = np.concatenate([[0.0], x[:-1]])
+        assert lv_rhs(0.0, x).tobytes() == (x * (up - down)).tobytes()
+
+    def test_single_species_field_is_zero(self):
+        assert np.array_equal(lv_rhs(0.0, np.array([1.7])), [0.0])
 
 
 class TestLvExact:

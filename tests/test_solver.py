@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from desinc.analysis import mgs_norm_exact
 from desinc.grid import build_grid
-from desinc.problems import example1, example2, example3
+from desinc.problems import example1, example2, example3, lv_rhs
 from desinc.solver import (
     IVProblem,
     NotConvergedError,
@@ -85,6 +87,32 @@ class TestGaussSeidelSweep:
         )
         out = gauss_seidel_sweep(tp.problem, wm, state.copy())
         assert np.max(np.abs(out - expected)) < 1e-15
+
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.integers(2, 24),
+           n=st.integers(1, 4),
+           field=st.sampled_from(["linear", "lv"]),
+           length=st.floats(0.05, 2.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_double_loop_oracle_random(self, N, n, field, length, seed):
+        rng = np.random.default_rng(seed)
+        if field == "linear":
+            a = rng.uniform(-1.0, 1.0, (n, n))
+            rhs = lambda t, x: a @ x
+        else:
+            rhs = lv_rhs
+        prob = IVProblem(n=n, rhs=rhs, x_a=rng.uniform(-1.0, 1.0, n),
+                         iv=Interval(0.0, length))
+        g = build_grid(prob.iv, N)
+        wm = build_weights(g)
+        state = rng.uniform(-2.0, 2.0, (g.m, n))
+        expected = gauss_seidel_sweep_naive(prob.x_a, wm.w, g.t, rhs, state.copy())
+        fvals = np.array([rhs(t, x) for t, x in zip(g.t, state)])
+        out = gauss_seidel_sweep(prob, wm, state, fvals)
+        assert out is state
+        # the oracle sums term by term, the sweep by a dot product
+        assert np.max(np.abs(out - expected)) <= 1e-13 * max(1.0, np.max(np.abs(expected)))
+        assert np.array_equal(fvals, [rhs(t, x) for t, x in zip(g.t, out)])
 
     def test_ascending_order_is_load_bearing(self):
         # updating in descending order must give a different sweep result
@@ -220,6 +248,26 @@ class TestSolve:
         sol, _ = solve(tp.problem, g, method=method, tol=0.0, max_sweeps=4)
         expected = [tp.problem.rhs(t, x) for t, x in zip(g.t, sol.x_nodes)]
         assert np.array_equal(sol.f_nodes, expected)
+
+    @pytest.mark.parametrize("stage", ["initial", "gauss_seidel", "jacobi"])
+    def test_wrong_length_rhs_carries_node(self, stage):
+        # from t = 0.4 on the rhs returns two values for a one-dimensional
+        # problem, which cannot be stored in the node row
+        def rhs(t, x):
+            return x if t <= 0.4 else np.ones(2)
+
+        prob = IVProblem(n=1, rhs=rhs, x_a=np.array([1.0]), iv=Interval(0.0, 1.0))
+        g = build_grid(prob.iv, 8)
+        wm = build_weights(g)
+        with pytest.raises(RhsEvaluationError) as err:
+            if stage == "initial":
+                solve(prob, g, wm=wm)
+            else:
+                sweep = gauss_seidel_sweep if stage == "gauss_seidel" else jacobi_sweep
+                sweep(prob, wm, np.ones((g.m, 1)), np.ones((g.m, 1)))
+        k = int(np.argmax(g.t > 0.4))
+        assert (err.value.node, err.value.t) == (k - g.N, g.t[k])
+        assert isinstance(err.value.__cause__, ValueError)
 
     def test_rejects_bad_arguments(self):
         tp = example1()

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from desinc.grid import build_grid
-from desinc.special import Interval
+from desinc.special import Interval, si
 from desinc.weights import build_weights, row_sum_norm, split
 
 from oracles import si_quadrature
@@ -48,6 +50,20 @@ class TestBuildWeights:
         assert e_norm <= 1.1 * iv.length
         assert df_norm <= eq35_bound(iv, g.h, N)
         assert row_sum_norm(wm.w) <= e_norm + df_norm + 1e-15
+
+    @settings(max_examples=30, deadline=None)
+    @given(N=st.integers(2, 40),
+           a=st.floats(-10.0, 10.0),
+           length=st.floats(0.01, 10.0))
+    def test_toeplitz_assembly_matches_double_loop(self, N, a, length):
+        g = build_grid(Interval(a, a + length), N)
+        w = build_weights(g).w
+        loop = np.empty((g.m, g.m))
+        for i in range(g.m):
+            for j in range(g.m):
+                loop[i, j] = g.dphi[j] * (g.h * (0.5 + si(math.pi * (i - j)) / math.pi))
+        assert np.array_equal(w, loop)
+        assert w.flags.c_contiguous
 
     def test_no_nan_at_large_n(self):
         g = build_grid(Interval(0.0, 1.0), 512)
