@@ -1,6 +1,11 @@
 """Convergence analysis of the Gauss-Seidel sweep: the exact infinity
 norm of the comparison matrix (I - L|E|)^{-1} L(|D|+|F|), its closed-form
 upper bound, and checks of the sufficient conditions for convergence.
+
+No m x m matrix is formed.  |w_ij| = |p_{i-j}| * phi'_j with the 4N+1
+generator values p_k of WeightMatrix, so every row sum of |E| or |D|+|F|
+is one entry of a convolution of |p| with phi', and the comparison norm is
+one forward substitution on the generator: O(m) memory, O(m^2) work.
 """
 
 from __future__ import annotations
@@ -9,11 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .solver import IterationTrace, IVProblem
 from .special import Interval
-from .weights import TriangularSplit, WeightMatrix, row_sum_norm, split
+from .weights import WeightMatrix
 
 __all__ = [
     "GSAnalysis",
@@ -47,21 +51,43 @@ class AssumptionReport:
     details: str
 
 
-def mgs_norm_exact(tsplit: TriangularSplit, L: float) -> float:
-    """Exact infinity norm of (I - L|E|)^{-1} L(|D|+|F|).
+def _abs_row_sums(wm: WeightMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Row sums of |w| split at the diagonal: e_rows[i] = sum_{j<i} |w_ij|
+    (the rows of |E|) and df_rows[i] = sum_{j>=i} |w_ij| (of |D|+|F|)."""
+    m, dphi = wm.m, wm.grid.dphi
+    p = np.abs(wm.gen)  # p[k + m - 1] = |p_k|; dphi is nonnegative
+    e_rows = np.zeros(m)
+    # sum_j |p_{i-j}| dphi_j over i - j = 1..m-1, and over i - j = -(m-1)..0
+    e_rows[1:] = np.convolve(p[m:], dphi)[:m - 1]
+    df_rows = np.convolve(p[:m], dphi)[m - 1:]
+    return e_rows, df_rows
 
-    The system matrix is unit lower triangular, so one forward
-    substitution gives the exact answer in finitely many steps (the
-    Neumann series of the inverse terminates).
-    """
+
+def _forward_substitution(wm: WeightMatrix, df_rows: np.ndarray, L: float) -> float:
     if L <= 0.0:
         raise ValueError("Lipschitz constant must be positive")
-    # every factor is entrywise nonnegative, so the row sums of the product
-    # are the product applied to the all-ones vector
-    rhs = L * (np.abs(tsplit.d) + np.abs(tsplit.f).sum(axis=1))
-    # unit_diagonal: LAPACK reads only the strictly lower triangle
-    y = solve_triangular(-L * np.abs(tsplit.e), rhs, lower=True, unit_diagonal=True)
+    m, dphi = wm.m, wm.grid.dphi
+    # rev[m - 1 - i : m - 1] = |p_i|, ..., |p_1|: row i of |E| without dphi
+    rev = np.abs(wm.gen[::-1])
+    y = np.empty(m)
+    g = np.empty(m)  # g[j] = dphi[j] * y[j] for the rows done so far
+    for i in range(m):
+        y[i] = L * (df_rows[i] + rev[m - 1 - i:m - 1] @ g[:i])
+        g[i] = dphi[i] * y[i]
     return float(y.max())
+
+
+def mgs_norm_exact(wm: WeightMatrix, L: float) -> float:
+    """Exact infinity norm of (I - L|E|)^{-1} L(|D|+|F|).
+
+    Every factor is entrywise nonnegative, so the row sums of the product
+    are the product applied to the all-ones vector: y solves the unit lower
+    triangular system (I - L|E|) y = L (|D|+|F|) 1, and the norm is max(y).
+    Row i of the forward substitution is one dot product of the generator
+    with phi' * y over the rows already done, so the answer is exact in
+    finitely many steps (the Neumann series of the inverse terminates).
+    """
+    return _forward_substitution(wm, _abs_row_sums(wm)[1], L)
 
 
 def mgs_bound(L: float, iv: Interval, h: float, N: int) -> float:
@@ -90,7 +116,8 @@ def check_assumptions(prob: IVProblem, wm: WeightMatrix) -> AssumptionReport:
     Reporting only: a failed condition does not mean the iteration
     diverges (the condition is sufficient, not necessary).
     """
-    w = row_sum_norm(wm.w)
+    e_rows, df_rows = _abs_row_sums(wm)
+    w = float(np.max(e_rows + df_rows))
     missing = [name for name, v in
                (("L", prob.lip), ("M", prob.bound_m), ("rho", prob.rho)) if v is None]
     if missing:
@@ -134,14 +161,12 @@ def convergence_factor_observed(trace: IterationTrace) -> float:
 def analyze(wm: WeightMatrix, L: float) -> GSAnalysis:
     """Full analysis row for one weight matrix and Lipschitz constant."""
     grid = wm.grid
-    tsplit = split(wm)
-    e_norm = row_sum_norm(tsplit.e)
-    df_norm = row_sum_norm(np.triu(wm.w))
-    w = row_sum_norm(wm.w)
-    norm = mgs_norm_exact(tsplit, L)
+    e_rows, df_rows = _abs_row_sums(wm)
+    norm = _forward_substitution(wm, df_rows, L)
     try:
         bound = mgs_bound(L, grid.iv, grid.h, grid.N)
     except ValueError:
         bound = None
-    return GSAnalysis(mgs_norm=norm, mgs_bound=bound, e_norm=e_norm,
-                      df_norm=df_norm, w=w, contraction=norm < 1.0)
+    return GSAnalysis(mgs_norm=norm, mgs_bound=bound, e_norm=float(e_rows.max()),
+                      df_norm=float(df_rows.max()), w=float(np.max(e_rows + df_rows)),
+                      contraction=norm < 1.0)

@@ -22,7 +22,6 @@ __all__ = [
     "example2",
     "example3",
     "lv_random",
-    "toda_rhs_check",
     "toda_solve",
     "miura_to_lv",
     "lv_exact",
@@ -200,21 +199,6 @@ def lr_decompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             low[k + 1:, k] = a[k + 1:, k] / piv
             a[k + 1:, k:] -= np.outer(low[k + 1:, k], a[k, k:])
     return low, np.triu(a)
-
-
-def toda_rhs_check(s: TodaState) -> float:
-    """Maximum deviation of the commutator [A, A_-] from the tridiagonal
-    form prescribed by the lattice equations."""
-    a = s.lax_matrix()
-    a_minus = np.tril(a, k=-1)
-    comm = a @ a_minus - a_minus @ a
-    expected = np.zeros_like(comm)
-    e_pad = np.concatenate([[0.0], s.e, [0.0]])
-    for k in range(s.m):
-        expected[k, k] = e_pad[k + 1] - e_pad[k]
-    for k in range(s.m - 1):
-        expected[k + 1, k] = s.e[k] * (s.q[k + 1] - s.q[k])
-    return float(np.max(np.abs(comm - expected)))
 
 
 def toda_solve(s0: TodaState, t: float) -> TodaState:

@@ -96,19 +96,27 @@ class SincSolution:
     x_a: np.ndarray
 
 
-def _eval_rhs(prob: IVProblem, grid: DEGrid, k: int, x: np.ndarray, out: np.ndarray) -> None:
+def _eval_rhs(prob: IVProblem, grid: DEGrid, k: int, x: np.ndarray, out: np.ndarray,
+              check_shape: bool = False) -> None:
     """Store rhs(t_k, x) into the node row out.  A failing rhs, or a
-    result that cannot be stored in the row, raises RhsEvaluationError."""
+    result that cannot be stored in the row, raises RhsEvaluationError;
+    so does, with check_shape, a result that the row would broadcast."""
     t = grid.t[k]
     try:
-        out[...] = prob.rhs(t, x)
+        f = prob.rhs(t, x)
+        if check_shape and np.shape(f) != out.shape:
+            raise ValueError(f"rhs returned shape {np.shape(f)}, expected {out.shape}")
+        out[...] = f
     except Exception as exc:
         raise RhsEvaluationError(k - grid.N, t, exc) from exc
 
 
 def _eval_rhs_all(prob: IVProblem, grid: DEGrid, x: np.ndarray) -> np.ndarray:
+    # the shape of the first result is checked once per call, not per node,
+    # to keep the per-node cost of the sweeps down
     out = np.empty_like(x)
-    for k in range(grid.m):
+    _eval_rhs(prob, grid, 0, x[0], out[0], check_shape=True)
+    for k in range(1, grid.m):
         _eval_rhs(prob, grid, k, x[k], out[k])
     return out
 

@@ -1,4 +1,5 @@
-"""Dense collocation weight matrix w_ij = phi'(s_j) * J(j,h)(s_i) and its
+"""Collocation weights w_ij = phi'(s_j) * J(j,h)(s_i), held as the 4N+1
+values that generate their Toeplitz factor, and the dense matrix with its
 diagonal / strictly-lower / strictly-upper triangular split.
 """
 
@@ -6,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,16 +19,28 @@ __all__ = ["WeightMatrix", "TriangularSplit", "build_weights", "split", "row_sum
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Dense collocation weights on a grid.
+    """Collocation weights on a grid.
 
-    w[i, j] = dphi[j] * h * (1/2 + Si(pi(i-j))/pi), i.e. w = P diag(dphi)
-    with P Toeplitz; w is a C-contiguous (m, m) array owned by this
-    object.
+    w[i, j] = dphi[j] * p_{i-j} with p_k = h * (1/2 + Si(pi k)/pi), i.e.
+    w = P diag(dphi) with P Toeplitz.  Only the generator gen, with
+    gen[k + m - 1] = p_k for k = -(m-1)..m-1, is stored; the dense w is
+    formed on first access, as a C-contiguous (m, m) array owned by this
+    object, and kept.
     """
 
-    m: int
-    w: np.ndarray
     grid: DEGrid
+    gen: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return self.grid.m
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        # P[i, j] = gen[i - j + m - 1] is a strided view of the generator,
+        # so the only m x m pass is the scaling of its columns by dphi
+        p = np.lib.stride_tricks.sliding_window_view(self.gen, self.m)[:, ::-1]
+        return self.grid.dphi[None, :] * p
 
 
 @dataclass(frozen=True)
@@ -37,26 +51,21 @@ class TriangularSplit:
 
 
 def build_weights(grid: DEGrid) -> WeightMatrix:
-    """Assemble the weight matrix for a grid.
+    """Weights for a grid, from the generator of their Toeplitz factor.
 
     Only Si at integer multiples of pi is needed, so the sine integral is
     evaluated 4N+1 times (k = -2N..2N, in ascending order) regardless of
-    matrix size.  The Toeplitz factor P[i, j] = gen[i - j + m - 1] is a
-    strided view of the generator, so the only m x m pass is the scaling
-    of its columns by dphi.
+    matrix size.  No m x m array is built here.
     """
     m = grid.m
     # gen[k + 2N] = h * (1/2 + Si(pi * k)/pi) for k = -2N..2N
     si_pi = np.array([si(math.pi * k) for k in range(-(m - 1), m)])
-    gen = grid.h * (0.5 + si_pi / math.pi)
-    p = np.lib.stride_tricks.sliding_window_view(gen, m)[:, ::-1]
-    w = grid.dphi[None, :] * p
-    return WeightMatrix(m=m, w=w, grid=grid)
+    return WeightMatrix(grid=grid, gen=grid.h * (0.5 + si_pi / math.pi))
 
 
 def split(wm: WeightMatrix) -> TriangularSplit:
-    """Exact partition of w into diagonal, strictly lower and strictly
-    upper parts; no arithmetic is performed on the entries."""
+    """Exact partition of the dense w into diagonal, strictly lower and
+    strictly upper parts; no arithmetic is performed on the entries."""
     w = wm.w
     return TriangularSplit(
         d=np.diag(w).copy(),

@@ -1,7 +1,7 @@
 """Independent reference implementations used only to check the library:
 a fixed-step RK4 integrator, a quadrature-based sine integral, a literal
-double-loop Gauss-Seidel sweep, and the comparison-matrix norm through a
-dense inverse.
+double-loop Gauss-Seidel sweep, the comparison-matrix norm through a
+dense inverse, and the Toda-lattice commutator check.
 """
 
 from __future__ import annotations
@@ -68,3 +68,18 @@ def mgs_norm_dense(w, L):
     inv = np.linalg.inv(np.eye(m) - L * np.tril(a, k=-1))
     y = inv @ (L * np.triu(a))
     return float(np.max(np.sum(np.abs(y), axis=1)))
+
+
+def toda_rhs_check(s) -> float:
+    """Maximum deviation of the commutator [A, A_-] from the tridiagonal
+    form prescribed by the lattice equations."""
+    a = s.lax_matrix()
+    a_minus = np.tril(a, k=-1)
+    comm = a @ a_minus - a_minus @ a
+    expected = np.zeros_like(comm)
+    e_pad = np.concatenate([[0.0], s.e, [0.0]])
+    for k in range(s.m):
+        expected[k, k] = e_pad[k + 1] - e_pad[k]
+    for k in range(s.m - 1):
+        expected[k + 1, k] = s.e[k] * (s.q[k + 1] - s.q[k])
+    return float(np.max(np.abs(comm - expected)))

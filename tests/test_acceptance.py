@@ -43,7 +43,7 @@ def test_criterion_1_bound_formula_point_check():
 
 def test_criterion_2_exact_norm_check():
     g = build_grid(IV_HALF, 64)
-    norm = mgs_norm_exact(split(build_weights(g)), L=1.0)
+    norm = mgs_norm_exact(build_weights(g), L=1.0)
     bound = mgs_bound(1.0, IV_HALF, g.h, 64)
     ok = 0.01 <= norm <= 0.03 and norm <= bound
     report(2, ok, f"exact norm = {norm:.6f}, bound = {bound:.6f}")
@@ -53,8 +53,9 @@ def test_criterion_3_bound_dominance_sweep():
     failures = []
     for n in (4, 8, 16, 32, 64, 128, 256):
         g = build_grid(IV_HALF, n)
-        ts = split(build_weights(g))
-        norm = mgs_norm_exact(ts, L=1.0)
+        wm = build_weights(g)
+        ts = split(wm)
+        norm = mgs_norm_exact(wm, L=1.0)
         bound = mgs_bound(1.0, IV_HALF, g.h, n)
         e_norm = row_sum_norm(ts.e)
         df_norm = row_sum_norm(np.diag(ts.d) + ts.f)
@@ -78,7 +79,7 @@ def test_criterion_5_gauss_seidel_speed():
     wm = build_weights(g)
     _, trace = solve(tp.problem, g, tol=1e-15, wm=wm)
     factor = convergence_factor_observed(trace)
-    norm = mgs_norm_exact(split(wm), tp.problem.lip)
+    norm = mgs_norm_exact(wm, tp.problem.lip)
     ok = factor <= 0.05 and factor <= norm
     report(5, ok, f"observed factor = {factor:.4f}, exact norm = {norm:.4f}")
 

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from desinc.analysis import (
+    _abs_row_sums,
     analyze,
     check_assumptions,
     convergence_factor_observed,
@@ -16,7 +18,7 @@ from desinc.grid import build_grid
 from desinc.problems import example1, example2
 from desinc.solver import IterationTrace, IVProblem, solve
 from desinc.special import Interval
-from desinc.weights import TriangularSplit, build_weights, row_sum_norm, split
+from desinc.weights import WeightMatrix, build_weights, row_sum_norm, split
 
 from oracles import mgs_norm_dense
 
@@ -37,24 +39,31 @@ def neumann_oracle(tsplit, L):
 class TestMgsNormExact:
     def test_paper_configuration(self):
         g = build_grid(Interval(0.0, 0.5), 64)
-        norm = mgs_norm_exact(split(build_weights(g)), L=1.0)
+        norm = mgs_norm_exact(build_weights(g), L=1.0)
         assert 0.01 <= norm <= 0.03
 
     def test_no_lower_coupling(self):
+        # synthetic generator: p_0 = 1, p_k = -0.1 above the diagonal and 0
+        # below it, with phi' = 1, so the norm is L times the first row sum
+        # of |D|+|F|, 1 + 0.1 * (m - 1)
         m = 4
-        ts = TriangularSplit(d=np.ones(m), e=np.zeros((m, m)), f=np.zeros((m, m)))
-        assert mgs_norm_exact(ts, L=0.3) == pytest.approx(0.3, rel=1e-15)
+        gen = np.concatenate([np.full(m - 1, -0.1), [1.0], np.zeros(m - 1)])
+        wm = WeightMatrix(grid=SimpleNamespace(m=m, dphi=np.ones(m)), gen=gen)
+        assert mgs_norm_exact(wm, L=0.3) == pytest.approx(0.3 * 1.3, rel=1e-15)
+        assert mgs_norm_dense(wm.w, 0.3) == pytest.approx(0.3 * 1.3, rel=1e-15)
 
     def test_matches_neumann_oracle_small(self):
         g = build_grid(Interval(0.0, 1.0), 3)
-        ts = split(build_weights(g))
-        assert mgs_norm_exact(ts, L=0.7) == pytest.approx(neumann_oracle(ts, 0.7), abs=1e-13)
+        wm = build_weights(g)
+        assert mgs_norm_exact(wm, L=0.7) == pytest.approx(neumann_oracle(split(wm), 0.7),
+                                                          abs=1e-13)
 
     @pytest.mark.parametrize("N", [2, 4, 8, 16])
     def test_neumann_equivalence_sweep(self, N):
         g = build_grid(Interval(0.0, 0.5), N)
-        ts = split(build_weights(g))
-        assert mgs_norm_exact(ts, L=1.0) == pytest.approx(neumann_oracle(ts, 1.0), abs=1e-12)
+        wm = build_weights(g)
+        assert mgs_norm_exact(wm, L=1.0) == pytest.approx(neumann_oracle(split(wm), 1.0),
+                                                          abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(N=st.integers(2, 48),
@@ -64,12 +73,12 @@ class TestMgsNormExact:
     def test_matches_dense_inverse(self, N, a, length, L):
         wm = build_weights(build_grid(Interval(a, a + length), N))
         ref = mgs_norm_dense(wm.w, L)
-        assert mgs_norm_exact(split(wm), L) == pytest.approx(ref, rel=1e-12)
+        assert mgs_norm_exact(wm, L) == pytest.approx(ref, rel=1e-12)
 
     def test_rejects_nonpositive_l(self):
-        ts = TriangularSplit(d=np.ones(2), e=np.zeros((2, 2)), f=np.zeros((2, 2)))
+        wm = build_weights(build_grid(Interval(0.0, 1.0), 2))
         with pytest.raises(ValueError):
-            mgs_norm_exact(ts, L=0.0)
+            mgs_norm_exact(wm, L=0.0)
 
 
 class TestMgsBound:
@@ -84,7 +93,7 @@ class TestMgsBound:
 
     def test_ratio_to_exact(self):
         g = build_grid(Interval(0.0, 0.5), 64)
-        exact = mgs_norm_exact(split(build_weights(g)), L=1.0)
+        exact = mgs_norm_exact(build_weights(g), L=1.0)
         bound = mgs_bound(1.0, g.iv, g.h, 64)
         assert 1.5 < bound / exact < 6.0
 
@@ -95,7 +104,7 @@ class TestMgsBound:
     @pytest.mark.parametrize("N", [4, 8, 16, 32, 64, 128, 256])
     def test_dominates_exact_norm(self, N):
         g = build_grid(Interval(0.0, 0.5), N)
-        exact = mgs_norm_exact(split(build_weights(g)), L=1.0)
+        exact = mgs_norm_exact(build_weights(g), L=1.0)
         assert exact <= mgs_bound(1.0, g.iv, g.h, N)
 
     def test_decreasing_in_n(self):
@@ -146,7 +155,7 @@ class TestConvergenceFactorObserved:
         wm = build_weights(g)
         _, trace = solve(tp.problem, g, tol=1e-15, wm=wm)
         factor = convergence_factor_observed(trace)
-        assert factor <= mgs_norm_exact(split(wm), tp.problem.lip)
+        assert factor <= mgs_norm_exact(wm, tp.problem.lip)
         assert 0.005 <= factor <= 0.05
 
     def test_roundoff_tail_is_skipped(self):
@@ -180,3 +189,25 @@ class TestAnalyze:
         g = build_grid(Interval(0.0, 1.0), 8)
         res = analyze(build_weights(g), L=2.0)
         assert res.mgs_bound is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(N=st.integers(2, 64),
+           a=st.floats(-10.0, 10.0),
+           length=st.floats(0.01, 10.0))
+    def test_row_sums_match_dense_split(self, N, a, length):
+        wm = build_weights(build_grid(Interval(a, a + length), N))
+        e_rows, df_rows = _abs_row_sums(wm)
+        assert e_rows.max() == pytest.approx(row_sum_norm(split(wm).e), rel=1e-14)
+        assert df_rows.max() == pytest.approx(row_sum_norm(np.triu(wm.w)), rel=1e-14)
+
+    def test_analysis_builds_no_dense_matrix(self):
+        tp = example1()
+        wm = build_weights(build_grid(tp.problem.iv, 64))
+        analyze(wm, tp.problem.lip)
+        check_assumptions(tp.problem, wm)
+        assert "w" not in wm.__dict__
+
+    def test_w_column_matches_check_assumptions(self):
+        tp = example2(11)
+        wm = build_weights(build_grid(tp.problem.iv, 16))
+        assert analyze(wm, tp.problem.lip).w == check_assumptions(tp.problem, wm).w

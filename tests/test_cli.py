@@ -1,10 +1,15 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import desinc
 from desinc import cli
 from desinc.cli import EXIT_BAD_CONFIG, EXIT_NOT_CONVERGED, EXIT_OK, main
 from desinc.problems import example1
@@ -123,6 +128,20 @@ class TestAnalyzeCommand:
         assert row["L"] == "2.0"
         assert row["mgs_bound"] == ""
         assert row["cond_lbound_ok"] == "false"
+
+    def test_loads_no_further_scipy_subpackage(self, tmp_path):
+        # importing the package and a first analyze load scipy.linalg only;
+        # each further scipy subpackage adds to the start-up time
+        code = ("import sys; import desinc, desinc.cli; "
+                "desinc.cli.main(['analyze', '--n', '64', '--out', sys.argv[1]]); "
+                "print([m for m in ('scipy.fft', 'scipy.special', 'scipy.signal') "
+                "if m in sys.modules])")
+        src = str(Path(desinc.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "an.csv")],
+                             env=env, capture_output=True, text=True, timeout=120, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_bound_sweep_decreasing(self, tmp_path):
         out = tmp_path / "sweep.csv"

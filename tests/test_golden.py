@@ -3,7 +3,9 @@
 dump-weights is compared byte for byte.  For solve, the N, h, sweeps and
 converged columns must match exactly and E1 to 1e-15 absolute, because
 the BLAS dot products behind the sweeps may sum in another order on
-another host.
+another host.  For analyze, the float columns must match to 1e-15
+relative and the boolean and empty cells exactly, and mgs_norm must also
+agree with the dense-inverse oracle.
 
 The golden files are written by running this file as a script,
     PYTHONPATH=src python tests/test_golden.py
@@ -18,11 +20,19 @@ from pathlib import Path
 import pytest
 
 from desinc.cli import main
+from desinc.grid import build_grid
+from desinc.problems import problem_from_name
+from desinc.weights import build_weights
+
+from oracles import mgs_norm_dense
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 PROBLEMS = ["example1", "example2:n=11", "example3", "lv:m=3:seed=5"]
 SOLVE_N = "8,16,64"
+ANALYZE_PROBLEMS = ["example1", "example2:n=11"]
+ANALYZE_N = "4,8,16,64"
+ANALYZE_EXACT = ("N", "mgs_bound", "contraction", "cond_iii_ok", "cond_lbound_ok")
 
 # golden file name -> CLI arguments, without --out
 CASES = {
@@ -31,6 +41,8 @@ CASES = {
     **{f"solve_{p.replace(':', '_').replace('=', '')}_{method}.csv":
        ["solve", "--problem", p, "--method", method, "--n", SOLVE_N]
        for p in PROBLEMS for method in ["gauss_seidel", "jacobi"]},
+    **{f"analyze_{p.replace(':', '_').replace('=', '')}.csv":
+       ["analyze", "--problem", p, "--n", ANALYZE_N] for p in ANALYZE_PROBLEMS},
 }
 
 
@@ -51,9 +63,24 @@ def test_matches_golden(name, tmp_path):
     assert len(got_rows) == len(want_rows)
     for g, w in zip(got_rows, want_rows):
         assert g.keys() == w.keys()
+        if CASES[name][0] == "analyze":
+            _check_analyze_row(CASES[name][2], g, w)
+            continue
         for key in ("N", "h", "sweeps", "converged"):
             assert g[key] == w[key]
         assert abs(float(g["E1"]) - float(w["E1"])) <= 1e-15
+
+
+def _check_analyze_row(problem: str, got: dict, want: dict) -> None:
+    for key in got:
+        if key in ANALYZE_EXACT or not want[key]:
+            assert got[key] == want[key], key
+        else:
+            assert float(got[key]) == pytest.approx(float(want[key]), rel=1e-15, abs=0), key
+    # an independent oracle, so that the golden file is not the only gate
+    prob = problem_from_name(problem).problem
+    w = build_weights(build_grid(prob.iv, int(got["N"]))).w
+    assert float(got["mgs_norm"]) == pytest.approx(mgs_norm_dense(w, prob.lip), rel=1e-12)
 
 
 if __name__ == "__main__":

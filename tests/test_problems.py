@@ -19,11 +19,10 @@ from desinc.problems import (
     lv_rhs,
     miura_to_lv,
     problem_from_name,
-    toda_rhs_check,
     toda_solve,
 )
 
-from oracles import rk4
+from oracles import rk4, toda_rhs_check
 
 PAPER_TODA = TodaState(m=2, q=np.array([3.0, 3.0]), e=np.array([1.0]))
 

@@ -19,7 +19,7 @@ from desinc.solver import (
     solve,
 )
 from desinc.special import Interval
-from desinc.weights import WeightMatrix, build_weights, split
+from desinc.weights import WeightMatrix, build_weights
 
 from oracles import gauss_seidel_sweep_naive
 
@@ -131,15 +131,18 @@ class TestGaussSeidelSweep:
 
     def test_two_node_linear_coupling_term(self):
         # on a synthetic 2-node system with rhs = x, one GS sweep differs
-        # from one Jacobi sweep exactly by the lower-triangle coupling
-        w = np.array([[0.2, 0.05], [0.3, 0.25]])
-
+        # from one Jacobi sweep exactly by the lower-triangle coupling.
+        # Generator (p_-1, p_0, p_1) = (0.2, 1, 1.5) and phi' = (0.2, 0.25)
+        # give w = [[0.2, 0.05], [0.3, 0.25]].
         class FakeGrid:
             m = 2
             N = 0
             t = np.array([0.3, 0.7])
+            dphi = np.array([0.2, 0.25])
 
-        wm = WeightMatrix(m=2, w=w, grid=FakeGrid())
+        wm = WeightMatrix(grid=FakeGrid(), gen=np.array([0.2, 1.0, 1.5]))
+        w = wm.w
+        assert np.allclose(w, [[0.2, 0.05], [0.3, 0.25]], rtol=1e-15, atol=0)
         prob = IVProblem(n=1, rhs=lambda t, x: x, x_a=np.array([1.0]),
                          iv=Interval(0.0, 1.0))
         u, v = 1.3, 0.8
@@ -193,7 +196,7 @@ class TestSolve:
         tp = example1()
         g = build_grid(tp.problem.iv, 32)
         wm = build_weights(g)
-        rate = mgs_norm_exact(split(wm), tp.problem.lip)
+        rate = mgs_norm_exact(wm, tp.problem.lip)
         _, trace = solve(tp.problem, g, tol=1e-13, wm=wm)
         z = trace.z_norms
         for a, b in zip(z[1:], z[2:]):
@@ -268,6 +271,24 @@ class TestSolve:
         k = int(np.argmax(g.t > 0.4))
         assert (err.value.node, err.value.t) == (k - g.N, g.t[k])
         assert isinstance(err.value.__cause__, ValueError)
+
+    @pytest.mark.parametrize("stage", ["initial", "gauss_seidel", "jacobi"])
+    def test_short_rhs_result_rejected(self, stage):
+        # one value for a three-dimensional problem would broadcast across
+        # the node row and give a wrong solution that reports converged
+        prob = IVProblem(n=3, rhs=lambda t, x: np.array([x.sum()]),
+                         x_a=np.array([1.0, 2.0, 3.0]), iv=Interval(0.0, 1.0))
+        g = build_grid(prob.iv, 8)
+        wm = build_weights(g)
+        with pytest.raises(RhsEvaluationError) as err:
+            if stage == "initial":
+                solve(prob, g, wm=wm)
+            else:
+                sweep = gauss_seidel_sweep if stage == "gauss_seidel" else jacobi_sweep
+                sweep(prob, wm, np.ones((g.m, 3)))
+        assert (err.value.node, err.value.t) == (-g.N, g.t[0])
+        assert isinstance(err.value.__cause__, ValueError)
+        assert "(1,)" in str(err.value)
 
     def test_rejects_bad_arguments(self):
         tp = example1()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from desinc.grid import build_grid
 from desinc.solver import IVProblem, evaluate, solve
@@ -113,6 +115,21 @@ class TestPhiDEInv:
         prob = IVProblem(n=1, rhs=lambda t, x: x, x_a=np.array([1.0]), iv=iv)
         sol, _ = solve(prob, build_grid(iv, 16))
         assert evaluate(sol, iv.b)[0] == pytest.approx(math.e, rel=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(s=st.floats(-4.0, 4.0),
+           a=st.one_of(st.floats(-10.0, 10.0), st.floats(-1e6, 1e6)),
+           length=st.floats(0.01, 10.0))
+    def test_inverts_phi_de(self, s, a, length):
+        iv = Interval(a, a + length)
+        t = float(phi_de(s, iv))
+        assume(iv.a < t < iv.b)  # an endpoint only says s is large
+        # an error of eps * scale in t moves s by that over phi'(s); the
+        # factor 4 covers the few roundings on either side
+        eps = np.finfo(float).eps
+        scale = max(abs(iv.a), abs(iv.b)) + length
+        tol = 4.0 * eps * (scale / float(dphi_de(s, iv)) + abs(s))
+        assert abs(phi_de_inv(t, iv) - s) <= tol
 
     def test_rejects_outside(self):
         iv = Interval(0.0, 1.0)
