@@ -40,19 +40,24 @@ def si_quadrature(x: float) -> float:
     return total
 
 
+def gauss_seidel_row_naive(x_a, w, tgrid, rhs, new, old, i):
+    """Row i of the Gauss-Seidel update, summed term by term: the rhs is
+    taken at the rows of new before i and at the rows of old from i on."""
+    acc = np.array(x_a, dtype=float)
+    for j in range(i):
+        acc = acc + w[i, j] * rhs(tgrid[j], new[j])
+    for j in range(i, len(tgrid)):
+        acc = acc + w[i, j] * rhs(tgrid[j], old[j])
+    return acc
+
+
 def gauss_seidel_sweep_naive(x_a, w, tgrid, rhs, state):
     """Literal double-loop transcription of the Gauss-Seidel update, with
     no caching: every rhs value is recomputed on demand."""
-    m = len(tgrid)
     new = [np.array(v, dtype=float) for v in state]
     old = [np.array(v, dtype=float) for v in state]
-    for i in range(m):
-        acc = np.array(x_a, dtype=float)
-        for j in range(i):
-            acc = acc + w[i, j] * rhs(tgrid[j], new[j])
-        for j in range(i, m):
-            acc = acc + w[i, j] * rhs(tgrid[j], old[j])
-        new[i] = acc
+    for i in range(len(tgrid)):
+        new[i] = gauss_seidel_row_naive(x_a, w, tgrid, rhs, new, old, i)
     return np.array(new)
 
 
