@@ -51,18 +51,6 @@ class AssumptionReport:
     details: str
 
 
-def _abs_row_sums(wm: WeightMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Row sums of |w| split at the diagonal: e_rows[i] = sum_{j<i} |w_ij|
-    (the rows of |E|) and df_rows[i] = sum_{j>=i} |w_ij| (of |D|+|F|)."""
-    m, dphi = wm.m, wm.grid.dphi
-    p = np.abs(wm.gen)  # p[k + m - 1] = |p_k|; dphi is nonnegative
-    e_rows = np.zeros(m)
-    # sum_j |p_{i-j}| dphi_j over i - j = 1..m-1, and over i - j = -(m-1)..0
-    e_rows[1:] = np.convolve(p[m:], dphi)[:m - 1]
-    df_rows = np.convolve(p[:m], dphi)[m - 1:]
-    return e_rows, df_rows
-
-
 def _forward_substitution(wm: WeightMatrix, df_rows: np.ndarray, L: float) -> float:
     if L <= 0.0:
         raise ValueError("Lipschitz constant must be positive")
@@ -87,7 +75,7 @@ def mgs_norm_exact(wm: WeightMatrix, L: float) -> float:
     with phi' * y over the rows already done, so the answer is exact in
     finitely many steps (the Neumann series of the inverse terminates).
     """
-    return _forward_substitution(wm, _abs_row_sums(wm)[1], L)
+    return _forward_substitution(wm, wm.abs_row_sums[1], L)
 
 
 def mgs_bound(L: float, iv: Interval, h: float, N: int) -> float:
@@ -116,7 +104,7 @@ def check_assumptions(prob: IVProblem, wm: WeightMatrix) -> AssumptionReport:
     Reporting only: a failed condition does not mean the iteration
     diverges (the condition is sufficient, not necessary).
     """
-    e_rows, df_rows = _abs_row_sums(wm)
+    e_rows, df_rows = wm.abs_row_sums
     w = float(np.max(e_rows + df_rows))
     missing = [name for name, v in
                (("L", prob.lip), ("M", prob.bound_m), ("rho", prob.rho)) if v is None]
@@ -161,7 +149,7 @@ def convergence_factor_observed(trace: IterationTrace) -> float:
 def analyze(wm: WeightMatrix, L: float) -> GSAnalysis:
     """Full analysis row for one weight matrix and Lipschitz constant."""
     grid = wm.grid
-    e_rows, df_rows = _abs_row_sums(wm)
+    e_rows, df_rows = wm.abs_row_sums
     norm = _forward_substitution(wm, df_rows, L)
     try:
         bound = mgs_bound(L, grid.iv, grid.h, grid.N)

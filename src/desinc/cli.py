@@ -16,7 +16,7 @@ import numpy as np
 
 from .analysis import analyze, check_assumptions
 from .grid import build_grid
-from .problems import TestProblem, problem_from_name
+from .problems import problem_from_name
 from .solver import NotConvergedError, reference_solution, solve
 from .weights import build_weights
 
@@ -91,11 +91,6 @@ class _CsvSink:
         self._fh.write(text + "\n")
 
 
-def _e1(tp: TestProblem, x_nodes: np.ndarray, times: np.ndarray) -> float:
-    errs = [np.max(np.abs(x_nodes[k] - tp.exact(t))) for k, t in enumerate(times)]
-    return float(max(errs))
-
-
 def cmd_solve(cfg: RunConfig) -> int:
     """Per-N accuracy sweep: solve and compare node values against the
     exact solution."""
@@ -111,7 +106,7 @@ def cmd_solve(cfg: RunConfig) -> int:
             except NotConvergedError as err:
                 sol, trace = err.solution, err.trace
                 status = EXIT_NOT_CONVERGED
-            e1 = _e1(tp, sol.x_nodes, grid.t)
+            e1 = float(np.max(np.abs(sol.x_nodes - tp.exact(grid.t))))
             sink.row([n, grid.h, e1, len(trace.z_norms), trace.converged])
     _maybe_plot_script(cfg, x_col="N", y_col="E1", logy=True)
     return status

@@ -35,15 +35,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TestProblem:
+    """An initial value problem with its closed-form solution.
+
+    exact(t) accepts a scalar time, for which it returns the solution with
+    shape (n,), or a 1-D array of times, for which it returns one row per
+    time, shape (len(t), n).  The scalar is the 0-d case of the same array
+    code, so exact(ts)[k] equals exact(ts[k]) bit for bit.
+    """
+
     problem: IVProblem
-    exact: Callable[[float], np.ndarray]
+    exact: Callable[[float | np.ndarray], np.ndarray]
     name: str
 
 
 @dataclass(frozen=True)
 class TodaState:
-    """Lattice of size m: positions q (length m) and off-diagonal
-    variables e (length m-1, nonzero for the Miura map)."""
+    """Lattice of size m: positions q (last axis of length m) and
+    off-diagonal variables e (last axis of length m-1, nonzero for the
+    Miura map).  Leading axes, shared by q and e, stack several states."""
 
     m: int
     q: np.ndarray
@@ -52,19 +61,25 @@ class TodaState:
     def __post_init__(self):
         object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
         object.__setattr__(self, "e", np.asarray(self.e, dtype=float))
-        if self.q.shape != (self.m,) or self.e.shape != (self.m - 1,):
+        if self.q.shape[-1:] != (self.m,) or self.e.shape != self.q.shape[:-1] + (self.m - 1,):
             raise ValueError("q must have length m and e length m-1")
         if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.e))):
             raise ValueError("state entries must be finite")
 
     def lax_matrix(self) -> np.ndarray:
         """Tridiagonal matrix with q on the diagonal, e on the
-        subdiagonal and ones on the superdiagonal."""
-        a = np.diag(self.q)
-        for k in range(self.m - 1):
-            a[k, k + 1] = 1.0
-            a[k + 1, k] = self.e[k]
+        subdiagonal and ones on the superdiagonal; shape (..., m, m)."""
+        i = np.arange(self.m)
+        a = np.zeros(self.q.shape + (self.m,))
+        a[..., i, i] = self.q
+        a[..., i[:-1], i[1:]] = 1.0
+        a[..., i[1:], i[:-1]] = self.e
         return a
+
+
+def _first(values: np.ndarray, mask: np.ndarray) -> float:
+    """The first entry of values where mask holds (both may be 0-d)."""
+    return float(values[mask][0])
 
 
 class LRDecompositionError(RuntimeError):
@@ -94,7 +109,8 @@ def example1() -> TestProblem:
         bound_m=2.0,
         rho=1.0,
     )
-    return TestProblem(problem=prob, exact=lambda t: np.array([math.exp(t)]), name="example1")
+    return TestProblem(problem=prob, exact=lambda t: np.exp(np.asarray(t, dtype=float))[..., None],
+                       name="example1")
 
 
 def example2(n: int = 11) -> TestProblem:
@@ -116,8 +132,12 @@ def example2(n: int = 11) -> TestProblem:
     coeff = np.sin(ell * math.pi / 2.0) * 2.0 / (n + 1)
     rates = 4.0 * np.sin(ell * math.pi / (2.0 * (n + 1))) ** 2
 
-    def exact(t: float) -> np.ndarray:
-        return modes @ (coeff * np.exp(-rates * t))
+    def exact(t: float | np.ndarray) -> np.ndarray:
+        # an elementwise product summed over its last axis rounds every
+        # row alike, where a matrix product may not between a stack and a
+        # single row
+        c = coeff * np.exp(-rates * np.asarray(t, dtype=float)[..., None])
+        return (modes * c[..., None, :]).sum(axis=-1)
 
     prob = IVProblem(
         n=n,
@@ -143,9 +163,11 @@ def example3() -> TestProblem:
     """Three-species Lotka-Volterra on [0, 1] with the closed-form
     solution built from the 2-site Toda lattice."""
 
-    def exact(t: float) -> np.ndarray:
-        x2 = 1.0 / (math.cosh(t) * (2.0 * math.cosh(t) + math.sinh(t)))
-        return np.array([2.0 + math.tanh(t), x2, 2.0 - math.tanh(t) - x2])
+    def exact(t: float | np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        ch, th = np.cosh(t), np.tanh(t)
+        x2 = 1.0 / (ch * (2.0 * ch + np.sinh(t)))
+        return np.stack([2.0 + th, x2, 2.0 - th - x2], axis=-1)
 
     prob = IVProblem(
         n=3,
@@ -181,57 +203,66 @@ def lv_random(m: int, seed: int = 0) -> TestProblem:
 
 
 def lr_decompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Plain LR (Doolittle) factorization without pivoting.
+    """Plain LR (Doolittle) factorization without pivoting, of one square
+    matrix or of each matrix in a stack (shape (..., n, n)).
 
     Pivoting would destroy the similarity structure the Toda construction
-    relies on, so a vanishing pivot is a hard error.
+    relies on, so a vanishing pivot is a hard error; it names the pivot
+    index of the first matrix in the stack that has one.
     """
     a = np.array(m, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError("matrix must be square")
-    low = np.eye(n)
+    n = a.shape[-1]
+    low = np.broadcast_to(np.eye(n), a.shape).copy()
     for k in range(n):
-        piv = a[k, k]
-        if piv == 0.0:
-            raise LRDecompositionError(k, piv)
+        piv = a[..., k, k]
+        zero = piv == 0.0
+        if np.any(zero):
+            raise LRDecompositionError(k, _first(piv, zero))
         if k < n - 1:
-            low[k + 1:, k] = a[k + 1:, k] / piv
-            a[k + 1:, k:] -= np.outer(low[k + 1:, k], a[k, k:])
+            low[..., k + 1:, k] = a[..., k + 1:, k] / piv[..., None]
+            a[..., k + 1:, k:] -= low[..., k + 1:, k, None] * a[..., k, None, k:]
     return low, np.triu(a)
 
 
-def toda_solve(s0: TodaState, t: float) -> TodaState:
+def toda_solve(s0: TodaState, t: float | np.ndarray) -> TodaState:
     """Exact Toda-lattice state at time t via the group-theoretic
     construction: LR-factor exp(t*A(0)) and conjugate A(0) by the lower
-    factor."""
+    factor.  An array of times gives the stack of states, one per time."""
     a0 = s0.lax_matrix()
-    if t == 0.0:
-        return s0
-    low, _ = lr_decompose(scipy.linalg.expm(t * a0))
-    at = scipy.linalg.solve_triangular(low, a0 @ low, lower=True, unit_diagonal=True)
-    return TodaState(m=s0.m, q=np.diag(at).copy(), e=np.diag(at, k=-1).copy())
+    ta = np.asarray(t, dtype=float)[..., None, None] * a0
+    low, _ = lr_decompose(scipy.linalg.expm(ta))
+    # A(t) = low^{-1} A(0) low, by forward substitution on the unit lower
+    # triangular low, one column of low at a time
+    at = a0 @ low
+    for j in range(s0.m - 1):
+        at[..., j + 1:, :] -= low[..., j + 1:, j, None] * at[..., j, None, :]
+    return TodaState(m=s0.m, q=np.diagonal(at, axis1=-2, axis2=-1).copy(),
+                     e=np.diagonal(at, offset=-1, axis1=-2, axis2=-1).copy())
 
 
 def miura_to_lv(s: TodaState) -> np.ndarray:
     """Map a Toda state (q, e) to the 2m-1 Lotka-Volterra variables via
-    the forward recursion of the Miura transformation."""
+    the forward recursion of the Miura transformation; a stacked state
+    gives shape (..., 2m-1)."""
     m = s.m
-    x = np.empty(2 * m - 1)
-    thresh = 1e-12 * max(1.0, float(np.max(np.abs(s.q))))
-    x[0] = s.q[0] - 1.0
+    x = np.empty(s.q.shape[:-1] + (2 * m - 1,))
+    thresh = 1e-12 * np.maximum(1.0, np.max(np.abs(s.q), axis=-1))
+    x[..., 0] = s.q[..., 0] - 1.0
     for k in range(1, m):
-        odd = x[2 * k - 2]  # x_{2k-1} in 1-based indexing
-        if abs(odd) <= thresh:
-            raise MiuraPivotError(2 * k - 1, odd)
-        x[2 * k - 1] = s.e[k - 1] / odd
-        x[2 * k] = s.q[k] - x[2 * k - 1] - 1.0
+        odd = x[..., 2 * k - 2]  # x_{2k-1} in 1-based indexing
+        small = np.abs(odd) <= thresh
+        if np.any(small):
+            raise MiuraPivotError(2 * k - 1, _first(odd, small))
+        x[..., 2 * k - 1] = s.e[..., k - 1] / odd
+        x[..., 2 * k] = s.q[..., k] - x[..., 2 * k - 1] - 1.0
     return x
 
 
-def lv_exact(m: int, s0: TodaState, t: float) -> np.ndarray:
+def lv_exact(m: int, s0: TodaState, t: float | np.ndarray) -> np.ndarray:
     """Exact Lotka-Volterra solution at time t for 2m-1 species, from the
-    Toda trajectory through s0."""
+    Toda trajectory through s0; an array of times gives one row per time."""
     if m != s0.m:
         raise ValueError("m must match the state size")
     return miura_to_lv(toda_solve(s0, t))

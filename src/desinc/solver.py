@@ -32,13 +32,24 @@ DEFAULT_MAX_SWEEPS = 50
 
 
 class RhsEvaluationError(RuntimeError):
-    """Right-hand-side evaluation failed at a specific node."""
+    """Right-hand-side evaluation failed at a specific node.
+
+    solve sets sweep: 0 for the evaluation at the initial guess, k for
+    sweep k.  It stays None when a sweep function is called directly.
+    """
 
     def __init__(self, node: int, t: float, cause: BaseException):
-        super().__init__(f"rhs evaluation failed at node {node} (t = {t}): {cause}")
+        super().__init__(node, t)
         self.node = node
         self.t = t
+        self.sweep: int | None = None
         self.__cause__ = cause
+
+    def __str__(self) -> str:
+        where = f"node {self.node} (t = {self.t})"
+        if self.sweep is not None:
+            where = f"sweep {self.sweep}, {where}"
+        return f"rhs evaluation failed at {where}: {self.__cause__}"
 
 
 class NotConvergedError(RuntimeError):
@@ -194,24 +205,31 @@ def solve(
 
     state = np.tile(prob.x_a, (grid.m, 1))
     trace = IterationTrace(iterates=[] if store_iterates else None)
-    fvals = _eval_rhs_all(prob, grid, state)
     # looked up per call, so that a wrapper rebound onto the name is called
     sweep = jacobi_sweep if method == "jacobi" else gauss_seidel_sweep
 
-    for _ in range(max_sweeps):
-        prev = state.copy()
-        state = sweep(prob, wm, state, fvals)
-        z = float(np.max(np.abs(state - prev)))
-        trace.z_norms.append(z)
-        if store_iterates:
-            trace.iterates.append(state.copy())
-        if tol > 0.0 and z < tol:
-            trace.converged = True
-            break
-        if tol > 0.0 and not np.isfinite(z):
-            # a NaN or inf iterate cannot recover; the sweeps left would
-            # only repeat the failing rhs calls
-            break
+    # the sweep number is attached to a failing rhs here, once, so that
+    # the per-node path does not carry it
+    nu = 0
+    try:
+        fvals = _eval_rhs_all(prob, grid, state)
+        for nu in range(1, max_sweeps + 1):
+            prev = state.copy()
+            state = sweep(prob, wm, state, fvals)
+            z = float(np.max(np.abs(state - prev)))
+            trace.z_norms.append(z)
+            if store_iterates:
+                trace.iterates.append(state.copy())
+            if tol > 0.0 and z < tol:
+                trace.converged = True
+                break
+            if tol > 0.0 and not np.isfinite(z):
+                # a NaN or inf iterate cannot recover; the sweeps left would
+                # only repeat the failing rhs calls
+                break
+    except RhsEvaluationError as err:
+        err.sweep = nu
+        raise
 
     sol = SincSolution(grid=grid, x_nodes=state.copy(), f_nodes=fvals.copy(), x_a=prob.x_a)
     if tol > 0.0 and not trace.converged:

@@ -25,7 +25,7 @@ class WeightMatrix:
     w = P diag(dphi) with P Toeplitz.  Only the generator gen, with
     gen[k + m - 1] = p_k for k = -(m-1)..m-1, is stored; the dense w is
     formed on first access, as a C-contiguous (m, m) array owned by this
-    object, and kept.
+    object, and kept; so are the row sums of |w|.
     """
 
     grid: DEGrid
@@ -41,6 +41,19 @@ class WeightMatrix:
         # so the only m x m pass is the scaling of its columns by dphi
         p = np.lib.stride_tricks.sliding_window_view(self.gen, self.m)[:, ::-1]
         return self.grid.dphi[None, :] * p
+
+    @cached_property
+    def abs_row_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row sums of |w| split at the diagonal, computed once from the
+        generator without forming w: e_rows[i] = sum_{j<i} |w_ij| (the rows
+        of |E|) and df_rows[i] = sum_{j>=i} |w_ij| (of |D|+|F|)."""
+        m, dphi = self.m, self.grid.dphi
+        p = np.abs(self.gen)  # p[k + m - 1] = |p_k|; dphi is nonnegative
+        e_rows = np.zeros(m)
+        # sum_j |p_{i-j}| dphi_j over i - j = 1..m-1, and over i - j = -(m-1)..0
+        e_rows[1:] = np.convolve(p[m:], dphi)[:m - 1]
+        df_rows = np.convolve(p[:m], dphi)[m - 1:]
+        return e_rows, df_rows
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 """Independent reference implementations used only to check the library:
 a fixed-step RK4 integrator, a quadrature-based sine integral, a literal
 double-loop Gauss-Seidel sweep, the comparison-matrix norm through a
-dense inverse, and the Toda-lattice commutator check.
+dense inverse, the Toda-lattice commutator check, and the exact
+Lotka-Volterra solution computed one time at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 from scipy.integrate import quad
 
 
@@ -88,3 +90,31 @@ def toda_rhs_check(s) -> float:
     for k in range(s.m - 1):
         expected[k + 1, k] = s.e[k] * (s.q[k + 1] - s.q[k])
     return float(np.max(np.abs(comm - expected)))
+
+
+def lv_exact_per_t(q0, e0, t) -> np.ndarray:
+    """Exact Lotka-Volterra solution at one time t, for the Toda state
+    (q0, e0) at time 0: the Lax matrix built entry by entry, its
+    exponential, an LR loop, scipy's triangular solve for the conjugated
+    Lax matrix and the scalar Miura recursion."""
+    m = len(q0)
+    a0 = np.diag(np.asarray(q0, dtype=float))
+    for k in range(m - 1):
+        a0[k, k + 1] = 1.0
+        a0[k + 1, k] = e0[k]
+    if t == 0.0:
+        at = a0
+    else:
+        u = scipy.linalg.expm(t * a0)
+        low = np.eye(m)
+        for k in range(m - 1):
+            low[k + 1:, k] = u[k + 1:, k] / u[k, k]
+            u[k + 1:, k:] -= np.outer(low[k + 1:, k], u[k, k:])
+        at = scipy.linalg.solve_triangular(low, a0 @ low, lower=True, unit_diagonal=True)
+    q, e = np.diag(at), np.diag(at, k=-1)
+    x = np.empty(2 * m - 1)
+    x[0] = q[0] - 1.0
+    for k in range(1, m):
+        x[2 * k - 1] = e[k - 1] / x[2 * k - 2]
+        x[2 * k] = q[k] - x[2 * k - 1] - 1.0
+    return x

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from desinc.analysis import (
-    _abs_row_sums,
     analyze,
     check_assumptions,
     convergence_factor_observed,
@@ -196,7 +195,7 @@ class TestAnalyze:
            length=st.floats(0.01, 10.0))
     def test_row_sums_match_dense_split(self, N, a, length):
         wm = build_weights(build_grid(Interval(a, a + length), N))
-        e_rows, df_rows = _abs_row_sums(wm)
+        e_rows, df_rows = wm.abs_row_sums
         assert e_rows.max() == pytest.approx(row_sum_norm(split(wm).e), rel=1e-14)
         assert df_rows.max() == pytest.approx(row_sum_norm(np.triu(wm.w)), rel=1e-14)
 
@@ -211,3 +210,16 @@ class TestAnalyze:
         tp = example2(11)
         wm = build_weights(build_grid(tp.problem.iv, 16))
         assert analyze(wm, tp.problem.lip).w == check_assumptions(tp.problem, wm).w
+
+    def test_row_sums_computed_once(self, monkeypatch):
+        # analyze and check_assumptions on one weight matrix share its two
+        # row-sum convolutions
+        calls = []
+        convolve = np.convolve
+        monkeypatch.setattr(np, "convolve", lambda *a: calls.append(1) or convolve(*a))
+        tp = example1()
+        wm = build_weights(build_grid(tp.problem.iv, 16))
+        analyze(wm, tp.problem.lip)
+        check_assumptions(tp.problem, wm)
+        mgs_norm_exact(wm, tp.problem.lip)
+        assert len(calls) == 2

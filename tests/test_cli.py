@@ -57,6 +57,24 @@ class TestSolveCommand:
         assert rows[1][4] == "false"
 
 
+    def test_exact_called_once_per_n(self, tmp_path, monkeypatch):
+        # E1 takes the exact solution at all nodes in one call per N
+        calls = []
+        factory = cli.problem_from_name
+
+        def traced_problem(spec):
+            tp = factory(spec)
+            return dataclasses.replace(
+                tp, exact=lambda t: calls.append(np.shape(t)) or tp.exact(t))
+
+        monkeypatch.setattr(cli, "problem_from_name", traced_problem)
+        out = tmp_path / "lv.csv"
+        rc = main(["solve", "--problem", "lv:m=3:seed=1", "--n", "16,8", "--out", str(out)])
+        assert rc == EXIT_OK
+        assert calls == [(17,), (33,)]
+        assert [r[0] for r in read_csv(out)[1:]] == ["8", "16"]
+
+
 class TestTraceCommand:
     def test_example1_trace(self, tmp_path):
         out = tmp_path / "trace.csv"

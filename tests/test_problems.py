@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from desinc.grid import build_grid
 from desinc.problems import (
     LRDecompositionError,
     MiuraPivotError,
@@ -22,7 +23,7 @@ from desinc.problems import (
     toda_solve,
 )
 
-from oracles import rk4, toda_rhs_check
+from oracles import lv_exact_per_t, rk4, toda_rhs_check
 
 PAPER_TODA = TodaState(m=2, q=np.array([3.0, 3.0]), e=np.array([1.0]))
 
@@ -119,6 +120,31 @@ class TestLRDecompose:
             lr_decompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert err.value.index == 0
 
+    @pytest.mark.parametrize("shape", [(6,), (2, 3)])
+    def test_stack_equals_per_slice(self, shape):
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=shape + (4, 4)) + 6.0 * np.eye(4)
+        low, up = lr_decompose(a)
+        assert low.shape == up.shape == a.shape
+        for idx in np.ndindex(*shape):
+            low_k, up_k = lr_decompose(a[idx])
+            assert np.array_equal(low[idx], low_k)
+            assert np.array_equal(up[idx], up_k)
+
+    def test_zero_pivot_in_stack_reported(self):
+        # the third matrix has a zero second pivot, the others none
+        a = np.tile(np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]), (4, 1, 1))
+        a[2] = [[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 2.0]]
+        with pytest.raises(LRDecompositionError) as err:
+            lr_decompose(a)
+        assert (err.value.index, err.value.pivot) == (1, 0.0)
+        assert "index 1" in str(err.value)
+
+    def test_rejects_non_square(self):
+        for bad in (np.ones(3), np.ones((2, 3)), np.ones((4, 2, 3))):
+            with pytest.raises(ValueError):
+                lr_decompose(bad)
+
 
 class TestTodaRhsCheck:
     def test_hand_computed_two_site(self):
@@ -197,6 +223,23 @@ class TestMiura:
         with pytest.raises(MiuraPivotError):
             miura_to_lv(s)
 
+    def test_near_zero_pivot_in_stack_reported(self):
+        # x_3 = q_2 - e_1/(q_1 - 1) - 1 vanishes in the second state only
+        q = np.array([[3.0, 3.0, 3.0], [3.0, 1.5, 3.0], [3.0, 3.0, 3.0]])
+        s = TodaState(m=3, q=q, e=np.ones((3, 2)))
+        with pytest.raises(MiuraPivotError) as err:
+            miura_to_lv(s)
+        assert (err.value.index, err.value.value) == (3, 0.0)
+        assert "x_3" in str(err.value)
+
+    def test_stack_equals_per_state(self):
+        rng = np.random.default_rng(19)
+        s = TodaState(m=4, q=rng.uniform(2.5, 3.5, (5, 4)), e=rng.uniform(0.25, 0.75, (5, 3)))
+        x = miura_to_lv(s)
+        assert x.shape == (5, 7)
+        for k in range(5):
+            assert np.array_equal(x[k], miura_to_lv(TodaState(m=4, q=s.q[k], e=s.e[k])))
+
     def test_mapped_trajectory_satisfies_lv(self):
         rng = np.random.default_rng(23)
         s0 = TodaState(m=3, q=rng.uniform(2.5, 3.5, 3), e=rng.uniform(0.25, 0.75, 2))
@@ -205,6 +248,75 @@ class TestMiura:
             fd = (lv_exact(3, s0, t + step) - lv_exact(3, s0, t - step)) / (2 * step)
             x = lv_exact(3, s0, t)
             assert np.max(np.abs(fd - lv_rhs(t, x))) < 1e-7
+
+
+class TestTodaStateStack:
+    def test_lax_matrix_of_stack(self):
+        rng = np.random.default_rng(31)
+        s = TodaState(m=3, q=rng.normal(size=(2, 3)), e=rng.normal(size=(2, 2)))
+        a = s.lax_matrix()
+        assert a.shape == (2, 3, 3)
+        for k in range(2):
+            expected = np.diag(s.q[k]) + np.diag(np.ones(2), 1) + np.diag(s.e[k], -1)
+            assert np.array_equal(a[k], expected)
+
+    def test_rejects_mismatched_stack(self):
+        with pytest.raises(ValueError):
+            TodaState(m=2, q=np.ones((3, 2)), e=np.ones((2, 1)))
+        with pytest.raises(ValueError):
+            TodaState(m=2, q=np.ones((3, 2)), e=np.ones(1))
+
+
+def _exact_problems():
+    return [example1(), example2(11), example3()] + [lv_random(3, seed) for seed in range(8)]
+
+
+class TestBatchedExact:
+    """exact(t) over an array of times against the scalar calls and the
+    formulas it replaced."""
+
+    @pytest.mark.parametrize("tp", _exact_problems(), ids=lambda tp: tp.name)
+    def test_stack_equals_scalar_calls(self, tp):
+        iv = tp.problem.iv
+        # the grid holds nodes rounded onto both endpoints
+        ts = np.concatenate([build_grid(iv, 64).t, [iv.a, iv.b, 0.5 * (iv.a + iv.b)]])
+        stacked = tp.exact(ts)
+        assert stacked.shape == (len(ts), tp.problem.n)
+        scalar = np.array([tp.exact(float(t)) for t in ts])
+        assert scalar.shape == stacked.shape
+        assert np.array_equal(stacked, scalar)
+        assert tp.exact(ts[:0]).shape == (0, tp.problem.n)
+
+    def test_example1_matches_math_exp(self):
+        ts = np.random.default_rng(1).uniform(0.0, 0.5, 2000)
+        expected = np.array([math.exp(t) for t in ts])
+        assert np.all(np.abs(example1().exact(ts)[:, 0] - expected) <= np.spacing(expected))
+
+    def test_example3_matches_math_formulas(self):
+        ts = np.random.default_rng(2).uniform(0.0, 1.0, 2000)
+
+        def formula(t):
+            x2 = 1.0 / (math.cosh(t) * (2.0 * math.cosh(t) + math.sinh(t)))
+            return [2.0 + math.tanh(t), x2, 2.0 - math.tanh(t) - x2]
+
+        expected = np.array([formula(t) for t in ts])
+        # numpy's cosh, sinh and tanh differ from math's by an ulp or two,
+        # which the formula carries into every component: within 2 ulp of
+        # the largest component (1.5 is the worst seen in 100000 draws)
+        ulp = np.spacing(np.max(np.abs(expected), axis=1, keepdims=True))
+        assert np.all(np.abs(example3().exact(ts) - expected) <= 2.0 * ulp)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_lv_matches_per_time_pipeline(self, seed):
+        tp = lv_random(3, seed)
+        rng = np.random.default_rng(seed)  # the draw lv_random makes
+        q0, e0 = rng.uniform(2.5, 3.5, 3), rng.uniform(0.25, 0.75, 2)
+        ts = build_grid(tp.problem.iv, 64).t
+        expected = np.array([lv_exact_per_t(q0, e0, t) for t in ts])
+        # the Miura recursion cancels, so small components carry the
+        # absolute error of the large ones: ulps of the largest component
+        ulp = np.spacing(np.max(np.abs(expected), axis=1, keepdims=True))
+        assert np.all(np.abs(tp.exact(ts) - expected) <= 4.0 * ulp)
 
 
 class TestLvRhs:

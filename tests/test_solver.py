@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -282,6 +283,30 @@ class TestSolve:
         k = int(np.argmax(g.t > 0.4))
         assert (err.value.node, err.value.t) == (k - g.N, g.t[k])
         assert isinstance(err.value.__cause__, ValueError)
+        # solve reports its evaluation at the initial guess as sweep 0; a
+        # sweep called directly knows no sweep number
+        assert err.value.sweep == (0 if stage == "initial" else None)
+        assert ("sweep 0" in str(err.value)) == (stage == "initial")
+
+    @pytest.mark.parametrize("method", ["gauss_seidel", "jacobi"])
+    def test_rhs_failure_names_sweep(self, method):
+        # every sweep evaluates the rhs once per node, after the m
+        # evaluations at the initial guess: call 3m + 5 is node 5 of sweep 3
+        prob0 = example1().problem
+        g = build_grid(prob0.iv, 8)
+        calls = []
+
+        def rhs(t, x):
+            if len(calls) == 3 * g.m + 5:
+                raise FloatingPointError("boom")
+            calls.append(t)
+            return x
+
+        prob = dataclasses.replace(prob0, rhs=rhs)
+        with pytest.raises(RhsEvaluationError) as err:
+            solve(prob, g, method=method, tol=0.0, max_sweeps=10)
+        assert (err.value.sweep, err.value.node, err.value.t) == (3, 5 - g.N, g.t[5])
+        assert f"sweep 3, node {5 - g.N} (t = {g.t[5]}): boom" in str(err.value)
 
     @pytest.mark.parametrize("stage", ["initial", "gauss_seidel", "jacobi"])
     def test_short_rhs_result_rejected(self, stage):
