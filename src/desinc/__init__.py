@@ -34,7 +34,7 @@ from .solver import (
     solve,
 )
 from .special import Interval, dphi_de, j_kernel, phi_de, phi_de_inv, si
-from .weights import TriangularSplit, WeightMatrix, build_weights, row_sum_norm, split
+from .weights import TriangularSplit, WeightMatrix, build_weights, split
 
 __version__ = "0.1.0"
 
@@ -47,5 +47,5 @@ __all__ = [
     "IterationTrace", "IVProblem", "NotConvergedError", "SincSolution",
     "evaluate", "gauss_seidel_sweep", "jacobi_sweep", "reference_solution", "solve",
     "Interval", "dphi_de", "j_kernel", "phi_de", "phi_de_inv", "si",
-    "TriangularSplit", "WeightMatrix", "build_weights", "row_sum_norm", "split",
+    "TriangularSplit", "WeightMatrix", "build_weights", "split",
 ]

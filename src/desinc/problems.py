@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .solver import IVProblem
 from .special import Interval
@@ -230,6 +229,8 @@ def toda_solve(s0: TodaState, t: float | np.ndarray) -> TodaState:
     """Exact Toda-lattice state at time t via the group-theoretic
     construction: LR-factor exp(t*A(0)) and conjugate A(0) by the lower
     factor.  An array of times gives the stack of states, one per time."""
+    import scipy.linalg  # only expm needs it; importing desinc does not load it
+
     a0 = s0.lax_matrix()
     ta = np.asarray(t, dtype=float)[..., None, None] * a0
     low, _ = lr_decompose(scipy.linalg.expm(ta))
@@ -262,10 +263,13 @@ def miura_to_lv(s: TodaState) -> np.ndarray:
 
 def lv_exact(m: int, s0: TodaState, t: float | np.ndarray) -> np.ndarray:
     """Exact Lotka-Volterra solution at time t for 2m-1 species, from the
-    Toda trajectory through s0; an array of times gives one row per time."""
+    Toda trajectory through s0; an array of times gives one row per time.
+    Each distinct time is solved once (grid times repeat where phi
+    saturates at the endpoints) and its row is copied to every repeat."""
     if m != s0.m:
         raise ValueError("m must match the state size")
-    return miura_to_lv(toda_solve(s0, t))
+    ts, where = np.unique(np.asarray(t, dtype=float), return_inverse=True)
+    return miura_to_lv(toda_solve(s0, ts))[where]
 
 
 def problem_from_name(spec: str) -> TestProblem:

@@ -2,16 +2,18 @@
 double-exponential variable transform with its derivative, inverse and
 indefinite-integration kernel.
 
-All functions are pure and thread-safe.
+Si is scipy.special.sici's, so scipy.special is the one scipy subpackage
+that `import desinc` loads; scipy.linalg loads on the first Toda exact
+solution.  All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import sici
 
 __all__ = [
     "Interval",
@@ -21,11 +23,6 @@ __all__ = [
     "phi_de_inv",
     "j_kernel",
 ]
-
-# Power series / continued fraction crossover for the sine integral.  The
-# Maclaurin series loses ~1 digit per unit of x to cancellation, so it is
-# only used where that loss is negligible.
-_SI_SERIES_CUTOFF = 4.0
 
 
 @dataclass(frozen=True)
@@ -50,55 +47,9 @@ class Interval:
         return 0.5 * (self.a + self.b)
 
 
-def _si_series(x: float) -> float:
-    # Maclaurin series: sum (-1)^k x^(2k+1) / ((2k+1) (2k+1)!)
-    term = x
-    total = x
-    x2 = x * x
-    k = 1
-    while True:
-        term *= -x2 * (2 * k - 1) / ((2 * k + 1) * (2 * k + 1) * (2 * k))
-        total += term
-        if abs(term) < 1e-17 * abs(total):
-            return total
-        k += 1
-        if k > 100:  # pragma: no cover - series converges long before this
-            return total
-
-
-def _si_continued_fraction(x: float) -> float:
-    # Evaluate E1(ix) by the modified Lentz continued fraction and use
-    # Si(x) = pi/2 + Im(E1(ix)) for x > 0.  This is the auxiliary-function
-    # form f(x)cos(x) + g(x)sin(x) in disguise and is accurate to machine
-    # precision for x well above 1.
-    b = complex(1.0, x)
-    tiny = 1e-300
-    c = complex(1.0 / tiny)
-    d = 1.0 / b
-    h = d
-    for i in range(2, 400):
-        a = -((i - 1) ** 2)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    h *= cmath.exp(complex(0.0, -x))
-    return 0.5 * math.pi + h.imag
-
-
 def si(x: float) -> float:
-    """Sine integral Si(x) = int_0^x sin(t)/t dt.
-
-    Odd by construction; absolute error below 1e-14 over the real line.
-    """
-    if x < 0.0:
-        return -si(-x)
-    if x <= _SI_SERIES_CUTOFF:
-        return _si_series(x)
-    return _si_continued_fraction(x)
+    """Sine integral Si(x) = int_0^x sin(t)/t dt, from scipy.special.sici."""
+    return float(sici(x)[0])
 
 
 def phi_de(s, iv: Interval):

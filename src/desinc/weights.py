@@ -14,7 +14,7 @@ import numpy as np
 from .grid import DEGrid
 from .special import si
 
-__all__ = ["WeightMatrix", "TriangularSplit", "build_weights", "split", "row_sum_norm"]
+__all__ = ["WeightMatrix", "TriangularSplit", "build_weights", "split"]
 
 
 @dataclass(frozen=True)
@@ -85,13 +85,3 @@ def split(wm: WeightMatrix) -> TriangularSplit:
         e=np.tril(w, k=-1),
         f=np.triu(w, k=1),
     )
-
-
-def row_sum_norm(m) -> float:
-    """Infinity norm: maximum absolute row sum."""
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.sum(np.abs(a), axis=1)))

@@ -1,12 +1,14 @@
 """Independent reference implementations used only to check the library:
-a fixed-step RK4 integrator, a quadrature-based sine integral, a literal
-double-loop Gauss-Seidel sweep, the comparison-matrix norm through a
-dense inverse, the Toda-lattice commutator check, and the exact
+a fixed-step RK4 integrator, a quadrature-based sine integral, the weight
+matrix in 40-digit mpmath arithmetic, a literal double-loop Gauss-Seidel
+sweep, the infinity norm of a dense matrix, the comparison-matrix norm
+through a dense inverse, the Toda-lattice commutator check, and the exact
 Lotka-Volterra solution computed one time at a time.
 """
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 import scipy.linalg
 from scipy.integrate import quad
@@ -42,6 +44,18 @@ def si_quadrature(x: float) -> float:
     return total
 
 
+def weights_mpmath(grid) -> list[list]:
+    """The weights w[i][j] = phi'(s_j) * h * (1/2 + Si(pi (i - j))/pi) as
+    40-digit mpmath numbers, from the grid's own h and phi'(s_j) (both
+    taken as exact) and mpmath's pi and Si."""
+    with mpmath.workdps(40):
+        h = mpmath.mpf(grid.h)
+        p = {k: h * (mpmath.mpf(1) / 2 + mpmath.si(mpmath.pi * k) / mpmath.pi)
+             for k in range(-(grid.m - 1), grid.m)}
+        dphi = [mpmath.mpf(d) for d in grid.dphi]
+        return [[dphi[j] * p[i - j] for j in range(grid.m)] for i in range(grid.m)]
+
+
 def gauss_seidel_row_naive(x_a, w, tgrid, rhs, new, old, i):
     """Row i of the Gauss-Seidel update, summed term by term: the rhs is
     taken at the rows of new before i and at the rows of old from i on."""
@@ -65,6 +79,16 @@ def gauss_seidel_sweep_naive(x_a, w, tgrid, rhs, state):
 
 def central_difference(f, x, step=1e-6):
     return (f(x + step) - f(x - step)) / (2.0 * step)
+
+
+def row_sum_norm(m) -> float:
+    """Infinity norm: maximum absolute row sum."""
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2:
+        raise ValueError("expected a 2-d matrix")
+    if a.size == 0:
+        return 0.0
+    return float(np.max(np.sum(np.abs(a), axis=1)))
 
 
 def mgs_norm_dense(w, L):

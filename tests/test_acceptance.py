@@ -19,9 +19,9 @@ from desinc.problems import (
 )
 from desinc.solver import NotConvergedError, solve
 from desinc.special import Interval, si
-from desinc.weights import build_weights, row_sum_norm, split
+from desinc.weights import build_weights, split
 
-from oracles import rk4
+from oracles import rk4, row_sum_norm
 
 IV_HALF = Interval(0.0, 0.5)
 

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from desinc.analysis import (
@@ -17,9 +17,9 @@ from desinc.grid import build_grid
 from desinc.problems import example1, example2
 from desinc.solver import IterationTrace, IVProblem, solve
 from desinc.special import Interval
-from desinc.weights import WeightMatrix, build_weights, row_sum_norm, split
+from desinc.weights import WeightMatrix, build_weights, split
 
-from oracles import mgs_norm_dense
+from oracles import mgs_norm_dense, row_sum_norm
 
 
 def neumann_oracle(tsplit, L):
@@ -179,11 +179,6 @@ class TestAnalyze:
         assert res.e_norm <= 1.1 * g.iv.length
         assert res.w <= res.e_norm + res.df_norm + 1e-15
 
-    def test_df_norm_is_norm_of_diagonal_plus_upper(self):
-        wm = build_weights(build_grid(Interval(0.0, 0.5), 16))
-        ts = split(wm)
-        assert analyze(wm, 1.0).df_norm == row_sum_norm(np.diag(ts.d) + ts.f)
-
     def test_bound_absent_when_hypothesis_fails(self):
         g = build_grid(Interval(0.0, 1.0), 8)
         res = analyze(build_weights(g), L=2.0)
@@ -193,6 +188,9 @@ class TestAnalyze:
     @given(N=st.integers(2, 64),
            a=st.floats(-10.0, 10.0),
            length=st.floats(0.01, 10.0))
+    # the convolution and the dense sum round differently here:
+    # 0.04507947584191648 against 0.04507947584191649 (math.fsum's value)
+    @example(N=16, a=0.0, length=0.5)
     def test_row_sums_match_dense_split(self, N, a, length):
         wm = build_weights(build_grid(Interval(a, a + length), N))
         e_rows, df_rows = wm.abs_row_sums

@@ -148,18 +148,22 @@ class TestAnalyzeCommand:
         assert row["cond_lbound_ok"] == "false"
 
     def test_loads_no_further_scipy_subpackage(self, tmp_path):
-        # importing the package and a first analyze load scipy.linalg only;
-        # each further scipy subpackage adds to the start-up time
+        # importing the package and a first analyze load scipy.special only;
+        # each further scipy subpackage adds to the start-up time.  The Toda
+        # exact solution of an lv solve is what loads scipy.linalg.
         code = ("import sys; import desinc, desinc.cli; "
-                "desinc.cli.main(['analyze', '--n', '64', '--out', sys.argv[1]]); "
-                "print([m for m in ('scipy.fft', 'scipy.special', 'scipy.signal') "
-                "if m in sys.modules])")
+                "further = ('scipy.linalg', 'scipy.fft', 'scipy.signal'); "
+                "desinc.cli.main(['analyze', '--n', '64', '--out', sys.argv[1] + '/an.csv']); "
+                "print([m for m in further if m in sys.modules]); "
+                "desinc.cli.main(['solve', '--problem', 'lv:m=3:seed=5', '--n', '8', "
+                "'--out', sys.argv[1] + '/lv.csv']); "
+                "print([m for m in further if m in sys.modules])")
         src = str(Path(desinc.__file__).resolve().parent.parent)
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "an.csv")],
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                              env=env, capture_output=True, text=True, timeout=120, check=True)
-        assert out.stdout.strip() == "[]"
+        assert out.stdout.split("\n")[:2] == ["[]", "['scipy.linalg']"]
 
     def test_bound_sweep_decreasing(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -8,17 +8,23 @@ relative and the boolean and empty cells exactly, and mgs_norm must also
 agree with the dense-inverse oracle.
 
 The golden files are written by running this file as a script,
-    PYTHONPATH=src python tests/test_golden.py
-which is only done when an output is meant to change.
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
+which is only done when an output is meant to change.  Each NAME is a file
+name from CASES, and only those files are rewritten; with no NAME every
+file is.
 """
 
 from __future__ import annotations
 
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import desinc
 from desinc.cli import main
 from desinc.grid import build_grid
 from desinc.problems import problem_from_name
@@ -83,7 +89,24 @@ def _check_analyze_row(problem: str, got: dict, want: dict) -> None:
     assert float(got["mgs_norm"]) == pytest.approx(mgs_norm_dense(w, prob.lip), rel=1e-12)
 
 
+def test_script_rejects_unknown_name():
+    # a misspelt name must not fall back to rewriting every golden file
+    src = str(Path(desinc.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    before = {p.name: p.stat().st_mtime_ns for p in GOLDEN.iterdir()}
+    out = subprocess.run([sys.executable, __file__, "dump-weights_example1_N8.csv", "no-such.csv"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode != 0
+    assert "no-such.csv" in out.stderr
+    assert {p.name: p.stat().st_mtime_ns for p in GOLDEN.iterdir()} == before
+
+
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(CASES)
+    unknown = [n for n in names if n not in CASES]
+    if unknown:
+        sys.exit(f"unknown golden file(s): {', '.join(unknown)}")
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    for name, argv in CASES.items():
-        _run(argv, GOLDEN / name)
+    for name in names:
+        _run(CASES[name], GOLDEN / name)

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from desinc import problems
 from desinc.grid import build_grid
 from desinc.problems import (
     LRDecompositionError,
@@ -317,6 +318,23 @@ class TestBatchedExact:
         # absolute error of the large ones: ulps of the largest component
         ulp = np.spacing(np.max(np.abs(expected), axis=1, keepdims=True))
         assert np.all(np.abs(tp.exact(ts) - expected) <= 4.0 * ulp)
+
+    def test_lv_repeated_unsorted_times(self, monkeypatch):
+        # each distinct time goes through the Toda pipeline once, and every
+        # repeat gets the same row as its own scalar call
+        tp = lv_random(3, 5)
+        ts = np.array([0.7, 0.0, 1.0, 0.7, 0.25, 1.0, 0.0, 0.7])
+        scalar = np.array([tp.exact(float(t)) for t in ts])
+        seen = []
+
+        def recording_toda_solve(s0, t):
+            seen.append(np.array(t))
+            return toda_solve(s0, t)
+
+        monkeypatch.setattr(problems, "toda_solve", recording_toda_solve)
+        stacked = tp.exact(ts)
+        assert np.array_equal(stacked, scalar)
+        assert [list(t) for t in seen] == [[0.0, 0.25, 0.7, 1.0]]
 
 
 class TestLvRhs:

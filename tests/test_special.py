@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -15,6 +16,14 @@ from oracles import central_difference, si_quadrature
 SI_PI = 1.851937051982466
 # frozen high-precision tanh((pi/2) sinh 1)
 TANH_HALF_PI_SINH_1 = 0.9513679640727469
+# absolute tolerance against 40-digit mpmath: two ulps of Si's limit pi/2
+SI_TOL = 2.0 * np.finfo(float).eps * math.pi / 2
+
+
+def si_error(x: float):
+    """|si(x) - Si(x)| with Si(x) from mpmath at 40 digits."""
+    with mpmath.workdps(40):
+        return abs(mpmath.mpf(si(x)) - mpmath.si(x))
 
 
 class TestSi:
@@ -30,6 +39,16 @@ class TestSi:
     def test_against_quadrature(self):
         for x in (0.3, 1.0, 2.0, 3.9, 4.1, 7.3, 12.0, 16.0, 25.0, 100.0):
             assert si(x) == pytest.approx(si_quadrature(x), abs=1e-14)
+
+    def test_at_pi_multiples_against_mpmath(self):
+        # the weights need Si at exactly these points (worst seen: 3.4e-16)
+        for k in range(8193):
+            assert si_error(math.pi * k) <= SI_TOL, k
+
+    def test_random_against_mpmath(self):
+        # worst seen: 4.1e-16
+        for x in np.random.default_rng(1).uniform(-300.0, 300.0, 3000):
+            assert si_error(float(x)) <= SI_TOL, x
 
     def test_odd_exact(self):
         rng = np.random.default_rng(42)

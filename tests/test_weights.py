@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 
 from desinc.grid import build_grid
 from desinc.special import Interval, si
-from desinc.weights import build_weights, row_sum_norm, split
+from desinc.weights import build_weights, split
 
-from oracles import si_quadrature
+from oracles import row_sum_norm, si_quadrature, weights_mpmath
 
 
 def eq35_bound(iv, h, N):
@@ -64,6 +65,22 @@ class TestBuildWeights:
                 loop[i, j] = g.dphi[j] * (g.h * (0.5 + si(math.pi * (i - j)) / math.pi))
         assert np.array_equal(w, loop)
         assert w.flags.c_contiguous
+
+    @pytest.mark.parametrize("N", [2, 4, 8, 16, 32])
+    @pytest.mark.parametrize("iv", [Interval(0.0, 0.5), Interval(0.0, 1.0), Interval(-1.0, 2.0)])
+    def test_matches_mpmath_weights(self, N, iv):
+        # column j is phi'(s_j) times p_k = h (1/2 + Si(pi k)/pi), |p_k| < 1.1 h,
+        # so its error is measured in eps * h * phi'(s_j); a few roundings
+        # give at most 2 of those (1.53 is the worst seen on these grids)
+        g = build_grid(iv, N)
+        w = build_weights(g).w
+        ref = weights_mpmath(g)
+        eps = np.finfo(float).eps
+        with mpmath.workdps(40):
+            for j in range(g.m):
+                bound = 2.0 * eps * g.h * mpmath.mpf(g.dphi[j])
+                for i in range(g.m):
+                    assert abs(mpmath.mpf(w[i, j]) - ref[i][j]) <= bound, (i, j)
 
     def test_no_nan_at_large_n(self):
         g = build_grid(Interval(0.0, 1.0), 512)
