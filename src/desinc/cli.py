@@ -235,6 +235,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _has_type(val, kind: type) -> bool:
+    # JSON true/false load as bool, a subclass of int, and are no number
+    # here; a float field also takes an integer
+    if isinstance(val, bool):
+        return False
+    return isinstance(val, (int, float) if kind is float else kind)
+
+
+def _check_config_value(key: str, val) -> None:
+    """Reject a config-file value whose JSON type does not fit its field:
+    the type its flag parses to (a list of integers for n_list), or null
+    where the field defaults to None."""
+    if key == "n_list":
+        expected = "a list of integers"
+        ok = isinstance(val, list) and all(_has_type(v, int) for v in val)
+    else:
+        kind = next(kw.get("type", str) for k, kw in _OPTIONS.values() if k == key)
+        expected = {str: "a string", int: "an integer", float: "a number"}[kind]
+        ok = _has_type(val, kind) or (val is None and getattr(RunConfig(), key) is None)
+    if not ok:
+        raise ValueError(f"config key {key!r} must be {expected}, got {json.dumps(val)}")
+
+
 def _load_config(args: argparse.Namespace) -> RunConfig:
     # argparse stores --max-sweeps as args.max_sweeps
     flags = {key: getattr(args, flag[2:].replace("-", "_"))
@@ -243,10 +266,13 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"config file must hold a JSON object, got {json.dumps(data)}")
         unknown = set(data) - set(flags)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, val in data.items():
+            _check_config_value(key, val)
             setattr(cfg, key, val)
     for key, val in flags.items():
         if val is None:

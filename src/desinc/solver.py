@@ -140,12 +140,13 @@ def jacobi_sweep(
 ) -> np.ndarray:
     """One Jacobi sweep: every node is recomputed from the previous sweep
     only, into a new array; state is left unchanged.  fvals is the rhs
-    cache described in gauss_seidel_sweep.
+    cache described in gauss_seidel_sweep.  The weights are applied by
+    WeightMatrix.matmul, which does not form the dense w.
     """
     grid = wm.grid
     if fvals is None:
         fvals = _eval_rhs_all(prob, grid, state)
-    new = prob.x_a[None, :] + wm.w @ fvals
+    new = prob.x_a[None, :] + wm.matmul(fvals)
     fvals[:] = _eval_rhs_all(prob, grid, new)
     return new
 

@@ -1,12 +1,15 @@
 """Independent reference implementations used only to check the library:
 a fixed-step RK4 integrator, a quadrature-based sine integral, the weight
-matrix in 40-digit mpmath arithmetic, a literal double-loop Gauss-Seidel
+matrix in 40-digit mpmath arithmetic, a matrix product with exactly
+rounded row sums, a literal double-loop Gauss-Seidel
 sweep, the infinity norm of a dense matrix, the comparison-matrix norm
 through a dense inverse, the Toda-lattice commutator check, and the exact
 Lotka-Volterra solution computed one time at a time.
 """
 
 from __future__ import annotations
+
+import math
 
 import mpmath
 import numpy as np
@@ -75,6 +78,16 @@ def gauss_seidel_sweep_naive(x_a, w, tgrid, rhs, state):
     for i in range(len(tgrid)):
         new[i] = gauss_seidel_row_naive(x_a, w, tgrid, rhs, new, old, i)
     return np.array(new)
+
+
+def matmul_fsum(w, f) -> np.ndarray:
+    """w @ f with every row sum taken by math.fsum: the products are
+    rounded once each, their sum is correctly rounded."""
+    w, f = np.asarray(w, dtype=float), np.asarray(f, dtype=float)
+    out = np.empty((w.shape[0], f.shape[1]))
+    for c in range(f.shape[1]):
+        out[:, c] = [math.fsum(row) for row in (w * f[:, c]).tolist()]
+    return out
 
 
 def central_difference(f, x, step=1e-6):

@@ -227,6 +227,38 @@ class TestConfigHandling:
         bad.write_text('{"frobnicate": 1}')
         assert main(["solve", "--config", str(bad)]) == EXIT_BAD_CONFIG
 
+    @pytest.mark.parametrize("data, key", [
+        pytest.param({"n_list": "64"}, "n_list", id="n_list-string"),
+        pytest.param({"n_list": [True, 8]}, "n_list", id="n_list-bool"),
+        pytest.param({"tol": "1e-14"}, "tol", id="tol-string"),
+        pytest.param({"max_sweeps": 2.5}, "max_sweeps", id="max_sweeps-float"),
+        pytest.param({"max_sweeps": True}, "max_sweeps", id="max_sweeps-bool"),
+        pytest.param({"problem": None}, "problem", id="problem-null"),
+    ])
+    def test_mistyped_config_value_exits_2(self, tmp_path, capsys, data, key):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(data))
+        assert main(["solve", "--config", str(cfgfile)]) == EXIT_BAD_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: config key {key!r} must be ")
+
+    @pytest.mark.parametrize("text", ["5", "null", "[8]"])
+    def test_config_file_not_an_object_exits_2(self, tmp_path, capsys, text):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(text)
+        assert main(["solve", "--config", str(cfgfile)]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err.startswith("error: config file must hold a JSON object")
+
+    def test_config_number_and_null_values_accepted(self, tmp_path):
+        # an integer is a valid float, and null a valid value of a field
+        # whose default is None
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"tol": 1, "h_override": None, "plot_script": None}))
+        args = cli._build_parser().parse_args(["solve", "--config", str(cfgfile)])
+        cfg = cli._load_config(args)
+        assert (cfg.tol, cfg.h_override, cfg.plot_script) == (1, None, None)
+
     def test_plot_script_emitted(self, tmp_path):
         out = tmp_path / "out.csv"
         script = tmp_path / "plot.py"

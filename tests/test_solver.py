@@ -257,6 +257,31 @@ class TestSolve:
         assert len(calls) <= 2 * g.m
 
     @pytest.mark.parametrize("method", ["gauss_seidel", "jacobi"])
+    def test_infinite_rhs_stops_at_first_sweep(self, method):
+        # the Jacobi product is an FFT, which spreads one inf into NaN in
+        # every row; the iteration must still stop after the first sweep
+        calls = []
+
+        def rhs(t, x):
+            calls.append(t)
+            return x if t <= 0.4 else np.full_like(x, np.inf)
+
+        prob = IVProblem(n=1, rhs=rhs, x_a=np.array([1.0]), iv=Interval(0.0, 1.0))
+        g = build_grid(prob.iv, 16)
+        with pytest.raises(NotConvergedError) as err:
+            solve(prob, g, method=method, tol=1e-14, max_sweeps=50)
+        assert len(err.value.trace.z_norms) == 1
+        assert not math.isfinite(err.value.trace.z_norms[0])
+        assert len(calls) <= 2 * g.m
+
+    def test_jacobi_solve_forms_no_dense_weights(self):
+        tp = example3()
+        g = build_grid(tp.problem.iv, 64)
+        wm = build_weights(g)
+        solve(tp.problem, g, method="jacobi", wm=wm)
+        assert "w" not in wm.__dict__
+
+    @pytest.mark.parametrize("method", ["gauss_seidel", "jacobi"])
     def test_f_nodes_are_rhs_at_x_nodes(self, method):
         tp = example3()
         g = build_grid(tp.problem.iv, 16)
