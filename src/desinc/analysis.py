@@ -51,20 +51,6 @@ class AssumptionReport:
     details: str
 
 
-def _forward_substitution(wm: WeightMatrix, df_rows: np.ndarray, L: float) -> float:
-    if L <= 0.0:
-        raise ValueError("Lipschitz constant must be positive")
-    m, dphi = wm.m, wm.grid.dphi
-    # rev[m - 1 - i : m - 1] = |p_i|, ..., |p_1|: row i of |E| without dphi
-    rev = np.abs(wm.gen[::-1])
-    y = np.empty(m)
-    g = np.empty(m)  # g[j] = dphi[j] * y[j] for the rows done so far
-    for i in range(m):
-        y[i] = L * (df_rows[i] + rev[m - 1 - i:m - 1] @ g[:i])
-        g[i] = dphi[i] * y[i]
-    return float(y.max())
-
-
 def mgs_norm_exact(wm: WeightMatrix, L: float) -> float:
     """Exact infinity norm of (I - L|E|)^{-1} L(|D|+|F|).
 
@@ -75,7 +61,18 @@ def mgs_norm_exact(wm: WeightMatrix, L: float) -> float:
     with phi' * y over the rows already done, so the answer is exact in
     finitely many steps (the Neumann series of the inverse terminates).
     """
-    return _forward_substitution(wm, wm.abs_row_sums[1], L)
+    if L <= 0.0:
+        raise ValueError("Lipschitz constant must be positive")
+    m, dphi = wm.m, wm.grid.dphi
+    df_rows = wm.abs_row_sums[1]
+    # rev[m - 1 - i : m - 1] = |p_i|, ..., |p_1|: row i of |E| without dphi
+    rev = np.abs(wm.gen[::-1])
+    y = np.empty(m)
+    g = np.empty(m)  # g[j] = dphi[j] * y[j] for the rows done so far
+    for i in range(m):
+        y[i] = L * (df_rows[i] + rev[m - 1 - i:m - 1] @ g[:i])
+        g[i] = dphi[i] * y[i]
+    return float(y.max())
 
 
 def mgs_bound(L: float, iv: Interval, h: float, N: int) -> float:
@@ -150,7 +147,7 @@ def analyze(wm: WeightMatrix, L: float) -> GSAnalysis:
     """Full analysis row for one weight matrix and Lipschitz constant."""
     grid = wm.grid
     e_rows, df_rows = wm.abs_row_sums
-    norm = _forward_substitution(wm, df_rows, L)
+    norm = mgs_norm_exact(wm, L)
     try:
         bound = mgs_bound(L, grid.iv, grid.h, grid.N)
     except ValueError:

@@ -7,8 +7,9 @@ Exit codes: 0 success, 1 solver non-convergence, 2 invalid configuration.
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -17,7 +18,8 @@ import numpy as np
 from .analysis import analyze, check_assumptions
 from .grid import build_grid
 from .problems import problem_from_name
-from .solver import NotConvergedError, reference_solution, solve
+from .solver import (DEFAULT_MAX_SWEEPS, DEFAULT_TOL, NotConvergedError,
+                     reference_solution, solve)
 from .weights import build_weights
 
 __all__ = ["RunConfig", "cmd_solve", "cmd_trace", "cmd_analyze", "cmd_dump_weights", "main"]
@@ -32,8 +34,8 @@ class RunConfig:
     problem: str = "example1"
     n_list: list[int] = field(default_factory=lambda: [64])
     method: str = "gauss_seidel"
-    tol: float = 1e-14
-    max_sweeps: int = 50
+    tol: float = DEFAULT_TOL
+    max_sweeps: int = DEFAULT_MAX_SWEEPS
     h_override: float | None = None
     output: str = "-"
     plot_script: str | None = None
@@ -47,10 +49,14 @@ class RunConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.tol <= 0.0:
             raise ValueError("tol must be positive")
+        if not math.isfinite(self.tol):
+            raise ValueError("tol must be finite")
         if self.max_sweeps < 1:
             raise ValueError("max-sweeps must be at least 1")
         if self.h_override is not None and self.h_override <= 0.0:
             raise ValueError("h must be positive")
+        if self.h_override is not None and not math.isfinite(self.h_override):
+            raise ValueError("h must be finite")
         if self.plot_script is not None and self.output == "-":
             raise ValueError("--plot-script needs --out FILE: the script reads the CSV file")
 
@@ -65,30 +71,18 @@ def _fmt(v) -> str:
     return str(v)
 
 
-class _CsvSink:
-    """The output of one command: the file at path, or stdout for '-'.
+def _open_out(path: str):
+    """The output of one command, the file at path or stdout for '-', for
+    a with block, which closes the file but never stdout."""
+    if path == "-":
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
 
-    Use it in a with block, which closes the file (never stdout).
-    """
 
-    def __init__(self, path: str):
-        self._fh = sys.stdout if path == "-" else open(path, "w", encoding="utf-8", newline="")
-        self._writer = csv.writer(self._fh, lineterminator="\n")
-
-    def __enter__(self) -> "_CsvSink":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._fh is not sys.stdout:
-            self._fh.close()
-
-    def row(self, values) -> None:
-        self._writer.writerow([_fmt(v) for v in values])
-        self._fh.flush()
-
-    def line(self, text: str) -> None:
-        """Write one already formatted line."""
-        self._fh.write(text + "\n")
+def _write_row(fh, values) -> None:
+    # no field holds a comma, quote or newline, so no CSV quoting applies
+    fh.write(",".join(_fmt(v) for v in values) + "\n")
+    fh.flush()
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -96,8 +90,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     exact solution."""
     tp = problem_from_name(cfg.problem)
     status = EXIT_OK
-    with _CsvSink(cfg.output) as sink:
-        sink.row(["N", "h", "E1", "sweeps", "converged"])
+    with _open_out(cfg.output) as fh:
+        _write_row(fh, ["N", "h", "E1", "sweeps", "converged"])
         for n in sorted(cfg.n_list):
             grid = build_grid(tp.problem.iv, n, cfg.h_override)
             try:
@@ -107,8 +101,7 @@ def cmd_solve(cfg: RunConfig) -> int:
                 sol, trace = err.solution, err.trace
                 status = EXIT_NOT_CONVERGED
             e1 = float(np.max(np.abs(sol.x_nodes - tp.exact(grid.t))))
-            sink.row([n, grid.h, e1, len(trace.z_norms), trace.converged])
-    _maybe_plot_script(cfg, x_col="N", y_col="E1", logy=True)
+            _write_row(fh, [n, grid.h, e1, len(trace.z_norms), trace.converged])
     return status
 
 
@@ -124,12 +117,11 @@ def cmd_trace(cfg: RunConfig) -> int:
     ref = reference_solution(tp.problem, grid, wm=wm)
     _, trace = solve(tp.problem, grid, method=cfg.method, tol=0.0,
                      max_sweeps=cfg.max_sweeps, store_iterates=True, wm=wm)
-    with _CsvSink(cfg.output) as sink:
-        sink.row(["nu", "E2", "z_norm"])
+    with _open_out(cfg.output) as fh:
+        _write_row(fh, ["nu", "E2", "z_norm"])
         for nu, (it, z) in enumerate(zip(trace.iterates, trace.z_norms), start=1):
             e2 = float(np.max(np.abs(it - ref.x_nodes)))
-            sink.row([nu, e2, z])
-    _maybe_plot_script(cfg, x_col="nu", y_col="E2", logy=True)
+            _write_row(fh, [nu, e2, z])
     return EXIT_OK
 
 
@@ -139,18 +131,17 @@ def cmd_analyze(cfg: RunConfig) -> int:
     if tp.problem.lip is None:
         raise ValueError(f"problem {cfg.problem!r} supplies no Lipschitz constant")
     lip = tp.problem.lip
-    with _CsvSink(cfg.output) as sink:
-        sink.row(["N", "h", "L", "b_minus_a", "e_norm", "df_norm", "w", "mgs_norm",
-                  "mgs_bound", "contraction", "cond_iii_ok", "cond_lbound_ok"])
+    with _open_out(cfg.output) as fh:
+        _write_row(fh, ["N", "h", "L", "b_minus_a", "e_norm", "df_norm", "w", "mgs_norm",
+                        "mgs_bound", "contraction", "cond_iii_ok", "cond_lbound_ok"])
         for n in sorted(cfg.n_list):
             grid = build_grid(tp.problem.iv, n, cfg.h_override)
             wm = build_weights(grid)
             res = analyze(wm, lip)
             rep = check_assumptions(tp.problem, wm)
-            sink.row([n, grid.h, lip, grid.iv.length, res.e_norm, res.df_norm, res.w,
-                      res.mgs_norm, "" if res.mgs_bound is None else res.mgs_bound,
-                      res.contraction, rep.cond_iii_ok, rep.cond_lbound_ok])
-    _maybe_plot_script(cfg, x_col="N", y_col="mgs_norm", logy=True)
+            _write_row(fh, [n, grid.h, lip, grid.iv.length, res.e_norm, res.df_norm, res.w,
+                            res.mgs_norm, "" if res.mgs_bound is None else res.mgs_bound,
+                            res.contraction, rep.cond_iii_ok, rep.cond_lbound_ok])
     return EXIT_OK
 
 
@@ -164,9 +155,8 @@ def cmd_dump_weights(cfg: RunConfig) -> int:
     tp = problem_from_name(cfg.problem)
     grid = build_grid(tp.problem.iv, cfg.n_list[0], cfg.h_override)
     wm = build_weights(grid)
-    with _CsvSink(cfg.output) as sink:
-        for row in wm.w:
-            sink.line(",".join(f"{v:.17e}" for v in row))
+    with _open_out(cfg.output) as fh:
+        np.savetxt(fh, wm.w, fmt="%.17e", delimiter=",")
     return EXIT_OK
 
 
@@ -184,26 +174,18 @@ with open({csv!r}) as fh:
 plt.plot(xs, ys, "o-")
 plt.xlabel({x!r})
 plt.ylabel({y!r})
-{logy}plt.savefig({csv!r} + ".png", dpi=150)
+plt.yscale("log")
+plt.savefig({csv!r} + ".png", dpi=150)
 """
 
 
-def _maybe_plot_script(cfg: RunConfig, x_col: str, y_col: str, logy: bool) -> None:
-    if cfg.plot_script is None:
-        return
-    with open(cfg.plot_script, "w", encoding="utf-8") as fh:
-        fh.write(_PLOT_TEMPLATE.format(
-            script=cfg.plot_script, csv=cfg.output, x=x_col, y=y_col,
-            logy='plt.yscale("log")\n' if logy else "",
-        ))
-
-
-# name -> (command, its --help line)
+# name -> (command, its --help line, the (x, y) columns of its plot
+# script, or None where the command rejects --plot-script itself)
 _COMMANDS = {
-    "solve": (cmd_solve, "accuracy sweep over N"),
-    "trace": (cmd_trace, "per-sweep iteration trace at a single N"),
-    "analyze": (cmd_analyze, "convergence analysis over N"),
-    "dump-weights": (cmd_dump_weights, "dump the dense weight matrix as CSV"),
+    "solve": (cmd_solve, "accuracy sweep over N", ("N", "E1")),
+    "trace": (cmd_trace, "per-sweep iteration trace at a single N", ("nu", "E2")),
+    "analyze": (cmd_analyze, "convergence analysis over N", ("N", "mgs_norm")),
+    "dump-weights": (cmd_dump_weights, "dump the dense weight matrix as CSV", None),
 }
 
 # Every option in --help order: flag -> (the RunConfig field it sets, which
@@ -228,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="DE Sinc-collocation IVP solver and Gauss-Seidel convergence analysis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, (_, kwargs) in _OPTIONS.items():
             p.add_argument(flag, **kwargs)
@@ -290,8 +272,14 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        command, _ = _COMMANDS[args.command]
-        return command(cfg)
+        command, _, plot_cols = _COMMANDS[args.command]
+        status = command(cfg)
+        # written after a non-convergence too, since the CSV holds every row
+        if cfg.plot_script is not None:
+            x, y = plot_cols
+            with open(cfg.plot_script, "w", encoding="utf-8") as fh:
+                fh.write(_PLOT_TEMPLATE.format(script=cfg.plot_script, csv=cfg.output, x=x, y=y))
+        return status
     except (ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_CONFIG

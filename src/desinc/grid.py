@@ -47,8 +47,8 @@ def build_grid(iv: Interval, N: int, h: float | None = None) -> DEGrid:
         raise ValueError(f"N must be at least 2, got {N}")
     if h is None:
         h = default_step(N)
-    elif h <= 0.0:
-        raise ValueError(f"step size must be positive, got {h}")
+    elif not 0.0 < h < math.inf:
+        raise ValueError(f"step size must be positive and finite, got {h}")
     j = np.arange(-N, N + 1, dtype=float)
     s = j * h
     t = phi_de(s, iv)

@@ -5,6 +5,7 @@ for an arbitrary odd number of species.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -272,6 +273,9 @@ def lv_exact(m: int, s0: TodaState, t: float | np.ndarray) -> np.ndarray:
     return miura_to_lv(toda_solve(s0, ts))[where]
 
 
+_FACTORIES = {"example1": example1, "example2": example2, "example3": example3, "lv": lv_random}
+
+
 def problem_from_name(spec: str) -> TestProblem:
     """Resolve a problem name like 'example1', 'example2:n=11', 'example3'
     or 'lv:m=3:seed=7'."""
@@ -282,12 +286,13 @@ def problem_from_name(spec: str) -> TestProblem:
         if not val:
             raise ValueError(f"malformed problem parameter {p!r} in {spec!r}")
         params[key] = int(val)
-    if name == "example1":
-        return example1()
-    if name == "example2":
-        return example2(**params) if params else example2()
-    if name == "example3":
-        return example3()
-    if name == "lv":
-        return lv_random(**params)
-    raise ValueError(f"unknown problem {spec!r}")
+    factory = _FACTORIES.get(name)
+    if factory is None:
+        raise ValueError(f"unknown problem {spec!r}")
+    # bound before the call, so that a TypeError raised inside the factory
+    # is not taken for a bad parameter
+    try:
+        inspect.signature(factory).bind(**params)
+    except TypeError as err:
+        raise ValueError(f"bad parameters in problem {spec!r}: {err}") from None
+    return factory(**params)

@@ -5,6 +5,7 @@ solution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -197,8 +198,8 @@ def solve(
     """
     if method not in ("jacobi", "gauss_seidel"):
         raise ValueError(f"unknown method {method!r}")
-    if tol < 0.0:
-        raise ValueError("tol must be nonnegative")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be at least 1")
     if wm is None:

@@ -201,6 +201,22 @@ FLAG_CASES = [
 ]
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--n", "8,16"],
+    ["trace", "--n", "8", "--max-sweeps", "4"],
+    ["analyze", "--n", "4,8"],
+    ["dump-weights", "--n", "8"],
+], ids=lambda argv: argv[0])
+def test_stdout_matches_file_output(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(argv + ["--out", "-"]) == EXIT_OK
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+    # the command wrote to stdout without closing it
+    assert not sys.stdout.closed
+
+
 class TestConfigHandling:
     @pytest.mark.parametrize("flag, key, file_val, flag_val, flag_cfg_val",
                              [pytest.param(*case, id=case[0]) for case in FLAG_CASES])
@@ -222,10 +238,23 @@ class TestConfigHandling:
         assert main(["solve", "--problem", "example1", "--n", "1"]) == EXIT_BAD_CONFIG
         assert main(["solve", "--problem", "example1", "--n", "abc"]) == EXIT_BAD_CONFIG
         assert main(["solve", "--problem", "example1", "--tol", "-1"]) == EXIT_BAD_CONFIG
+        for flag in ("--tol", "--h"):
+            for val in ("nan", "inf"):
+                assert main(["solve", "--n", "8", flag, val]) == EXIT_BAD_CONFIG
+        nan_tol = tmp_path / "nan.json"
+        nan_tol.write_text('{"tol": NaN}')
+        assert main(["solve", "--config", str(nan_tol)]) == EXIT_BAD_CONFIG
         assert main(["solve", "--config", str(tmp_path / "missing.json")]) == EXIT_BAD_CONFIG
         bad = tmp_path / "bad.json"
         bad.write_text('{"frobnicate": 1}')
         assert main(["solve", "--config", str(bad)]) == EXIT_BAD_CONFIG
+
+    @pytest.mark.parametrize("spec", ["lv:x=3", "example2:m=3", "lv", "example1:n=3"])
+    def test_bad_problem_parameter_exits_2(self, capsys, spec):
+        assert main(["solve", "--problem", spec, "--n", "8"]) == EXIT_BAD_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: bad parameters in problem {spec!r}")
 
     @pytest.mark.parametrize("data, key", [
         pytest.param({"n_list": "64"}, "n_list", id="n_list-string"),

@@ -3,7 +3,8 @@
 dump-weights is compared byte for byte.  For solve, the N, h, sweeps and
 converged columns must match exactly and E1 to 1e-15 absolute, because
 the BLAS dot products behind the sweeps may sum in another order on
-another host.  For analyze, the float columns must match to 1e-15
+another host.  For trace, nu must match exactly and E2 and z_norm to the
+same 1e-15 absolute.  For analyze, the float columns must match to 1e-15
 relative and the boolean and empty cells exactly, and mgs_norm must also
 agree with the dense-inverse oracle.
 
@@ -39,6 +40,12 @@ SOLVE_N = "8,16,64"
 ANALYZE_PROBLEMS = ["example1", "example2:n=11"]
 ANALYZE_N = "4,8,16,64"
 ANALYZE_EXACT = ("N", "mgs_bound", "contraction", "cond_iii_ok", "cond_lbound_ok")
+TRACE_PROBLEMS = ["example1", "lv:m=3:seed=5"]
+# command -> (columns compared exactly, columns compared to 1e-15 absolute)
+_EXACT_AND_ABS = {
+    "solve": (("N", "h", "sweeps", "converged"), ("E1",)),
+    "trace": (("nu",), ("E2", "z_norm")),
+}
 
 # golden file name -> CLI arguments, without --out
 CASES = {
@@ -49,6 +56,9 @@ CASES = {
        for p in PROBLEMS for method in ["gauss_seidel", "jacobi"]},
     **{f"analyze_{p.replace(':', '_').replace('=', '')}.csv":
        ["analyze", "--problem", p, "--n", ANALYZE_N] for p in ANALYZE_PROBLEMS},
+    **{f"trace_{p.replace(':', '_').replace('=', '')}_{method}.csv":
+       ["trace", "--problem", p, "--method", method, "--n", "64", "--max-sweeps", "10"]
+       for p in TRACE_PROBLEMS for method in ["gauss_seidel", "jacobi"]},
 }
 
 
@@ -72,9 +82,11 @@ def test_matches_golden(name, tmp_path):
         if CASES[name][0] == "analyze":
             _check_analyze_row(CASES[name][2], g, w)
             continue
-        for key in ("N", "h", "sweeps", "converged"):
-            assert g[key] == w[key]
-        assert abs(float(g["E1"]) - float(w["E1"])) <= 1e-15
+        exact, close = _EXACT_AND_ABS[CASES[name][0]]
+        for key in exact:
+            assert g[key] == w[key], key
+        for key in close:
+            assert abs(float(g[key]) - float(w[key])) <= 1e-15, key
 
 
 def _check_analyze_row(problem: str, got: dict, want: dict) -> None:

@@ -70,3 +70,9 @@ def test_rejects_bad_inputs():
         build_grid(iv, 4, h=0.0)
     with pytest.raises(ValueError):
         build_grid(iv, 4, h=-0.1)
+
+
+@pytest.mark.parametrize("h", [float("nan"), float("inf")])
+def test_rejects_non_finite_step(h):
+    with pytest.raises(ValueError, match="finite"):
+        build_grid(Interval(0.0, 1.0), 4, h=h)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -390,3 +391,16 @@ class TestProblemFromName:
             problem_from_name("example9")
         with pytest.raises(ValueError):
             problem_from_name("example2:n")
+
+    @pytest.mark.parametrize("spec", ["lv:x=3", "example2:m=3", "lv", "example1:n=3"])
+    def test_rejects_parameters_the_problem_does_not_take(self, spec):
+        with pytest.raises(ValueError, match=re.escape(repr(spec))):
+            problem_from_name(spec)
+
+    def test_type_error_inside_factory_not_masked(self, monkeypatch):
+        def broken(n: int = 11):
+            raise TypeError("inside the factory")
+
+        monkeypatch.setitem(problems._FACTORIES, "example2", broken)
+        with pytest.raises(TypeError, match="inside the factory"):
+            problem_from_name("example2:n=5")

@@ -361,6 +361,15 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(tp.problem, g, max_sweeps=0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_rejects_non_finite_tol(self, tol):
+        # NaN would compare false with every z and inf would accept the
+        # first sweep
+        tp = example1()
+        g = build_grid(tp.problem.iv, 4)
+        with pytest.raises(ValueError, match="finite"):
+            solve(tp.problem, g, tol=tol)
+
 
 class TestEvaluate:
     def test_zero_rhs_constant(self):
