@@ -75,6 +75,12 @@ def mgs_norm_exact(wm: WeightMatrix, L: float) -> float:
     return float(y.max())
 
 
+def _bound_hypothesis(L: float, iv: Interval) -> tuple[float, bool]:
+    """1.1 * L * (b - a) and whether it is below 1, the bound hypothesis."""
+    lhs = 1.1 * (L * iv.length)
+    return lhs, lhs < 1.0
+
+
 def mgs_bound(L: float, iv: Interval, h: float, N: int) -> float:
     """Closed-form upper bound on the comparison-matrix norm.
 
@@ -87,10 +93,10 @@ def mgs_bound(L: float, iv: Interval, h: float, N: int) -> float:
         raise ValueError("step size must be positive")
     if N < 2:
         raise ValueError("N must be at least 2")
-    lba = L * iv.length
-    if 1.1 * lba >= 1.0:
-        raise ValueError(f"bound hypothesis violated: 1.1*L*(b-a) = {1.1 * lba} >= 1")
-    return lba * h / (1.0 - 1.1 * lba) * (
+    lhs, holds = _bound_hypothesis(L, iv)
+    if not holds:
+        raise ValueError(f"bound hypothesis violated: 1.1*L*(b-a) = {lhs} >= 1")
+    return L * iv.length * h / (1.0 - lhs) * (
         math.pi / 8.0 + (1.0 + math.log(2 * N)) / (4.0 * math.pi)
     )
 
@@ -113,11 +119,10 @@ def check_assumptions(prob: IVProblem, wm: WeightMatrix) -> AssumptionReport:
     # roundoff allowance: the discrete w approaches b-a from below but can
     # land a few ulps above it, and rho/M often sits exactly on that value
     cond_iii = w <= prob.rho / prob.bound_m * (1.0 + 1e-12)
-    lba = 1.1 * prob.lip * prob.iv.length
-    cond_lbound = lba < 1.0
+    lhs, cond_lbound = _bound_hypothesis(prob.lip, prob.iv)
     details = (
         f"w = {w:.6g}, rho/M = {prob.rho / prob.bound_m:.6g}, "
-        f"1.1*L*(b-a) = {lba:.6g}"
+        f"1.1*L*(b-a) = {lhs:.6g}"
     )
     return AssumptionReport(cond_iii_ok=cond_iii, cond_lbound_ok=cond_lbound,
                             w=w, details=details)

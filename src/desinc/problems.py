@@ -54,15 +54,18 @@ class TodaState:
     off-diagonal variables e (last axis of length m-1, nonzero for the
     Miura map).  Leading axes, shared by q and e, stack several states."""
 
-    m: int
     q: np.ndarray
     e: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return self.q.shape[-1]
 
     def __post_init__(self):
         object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
         object.__setattr__(self, "e", np.asarray(self.e, dtype=float))
-        if self.q.shape[-1:] != (self.m,) or self.e.shape != self.q.shape[:-1] + (self.m - 1,):
-            raise ValueError("q must have length m and e length m-1")
+        if self.q.ndim < 1 or self.e.shape != self.q.shape[:-1] + (self.m - 1,):
+            raise ValueError("q must be at least 1-D and e of shape q.shape[:-1] + (m-1,)")
         if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.e))):
             raise ValueError("state entries must be finite")
 
@@ -101,7 +104,6 @@ class MiuraPivotError(RuntimeError):
 def example1() -> TestProblem:
     """Scalar linear growth x' = x on [0, 1/2], x(0) = 1."""
     prob = IVProblem(
-        n=1,
         rhs=lambda t, x: x,
         x_a=np.array([1.0]),
         iv=Interval(0.0, 0.5),
@@ -140,7 +142,6 @@ def example2(n: int = 11) -> TestProblem:
         return (modes * c[..., None, :]).sum(axis=-1)
 
     prob = IVProblem(
-        n=n,
         rhs=lambda t, x: a @ x,
         x_a=x0,
         iv=Interval(0.0, 0.125),
@@ -170,7 +171,6 @@ def example3() -> TestProblem:
         return np.stack([2.0 + th, x2, 2.0 - th - x2], axis=-1)
 
     prob = IVProblem(
-        n=3,
         rhs=lv_rhs,
         x_a=np.array([2.0, 0.5, 1.5]),
         iv=Interval(0.0, 1.0),
@@ -192,12 +192,12 @@ def lv_random(m: int, seed: int = 0) -> TestProblem:
     if m < 2:
         raise ValueError("m must be at least 2")
     rng = np.random.default_rng(seed)
-    s0 = TodaState(m=m, q=rng.uniform(2.5, 3.5, m), e=rng.uniform(0.25, 0.75, m - 1))
+    s0 = TodaState(q=rng.uniform(2.5, 3.5, m), e=rng.uniform(0.25, 0.75, m - 1))
     x0 = miura_to_lv(s0)
-    prob = IVProblem(n=2 * m - 1, rhs=lv_rhs, x_a=x0, iv=_LV_INTERVAL)
+    prob = IVProblem(rhs=lv_rhs, x_a=x0, iv=_LV_INTERVAL)
     return TestProblem(
         problem=prob,
-        exact=lambda t: lv_exact(m, s0, t),
+        exact=lambda t: lv_exact(s0, t),
         name=f"lv:m={m}:seed={seed}",
     )
 
@@ -240,7 +240,7 @@ def toda_solve(s0: TodaState, t: float | np.ndarray) -> TodaState:
     at = a0 @ low
     for j in range(s0.m - 1):
         at[..., j + 1:, :] -= low[..., j + 1:, j, None] * at[..., j, None, :]
-    return TodaState(m=s0.m, q=np.diagonal(at, axis1=-2, axis2=-1).copy(),
+    return TodaState(q=np.diagonal(at, axis1=-2, axis2=-1).copy(),
                      e=np.diagonal(at, offset=-1, axis1=-2, axis2=-1).copy())
 
 
@@ -262,13 +262,11 @@ def miura_to_lv(s: TodaState) -> np.ndarray:
     return x
 
 
-def lv_exact(m: int, s0: TodaState, t: float | np.ndarray) -> np.ndarray:
+def lv_exact(s0: TodaState, t: float | np.ndarray) -> np.ndarray:
     """Exact Lotka-Volterra solution at time t for 2m-1 species, from the
-    Toda trajectory through s0; an array of times gives one row per time.
-    Each distinct time is solved once (grid times repeat where phi
-    saturates at the endpoints) and its row is copied to every repeat."""
-    if m != s0.m:
-        raise ValueError("m must match the state size")
+    Toda trajectory through s0 of size m; an array of times gives one row
+    per time.  Each distinct time is solved once (grid times repeat where
+    phi saturates at the endpoints) and its row is copied to every repeat."""
     ts, where = np.unique(np.asarray(t, dtype=float), return_inverse=True)
     return miura_to_lv(toda_solve(s0, ts))[where]
 
@@ -278,14 +276,23 @@ _FACTORIES = {"example1": example1, "example2": example2, "example3": example3, 
 
 def problem_from_name(spec: str) -> TestProblem:
     """Resolve a problem name like 'example1', 'example2:n=11', 'example3'
-    or 'lv:m=3:seed=7'."""
+    or 'lv:m=3:seed=7'.  Every error names the spec."""
+
+    def bad(reason) -> ValueError:
+        return ValueError(f"bad parameters in problem {spec!r}: {reason}")
+
     parts = spec.split(":")
     name, params = parts[0], {}
     for p in parts[1:]:
         key, _, val = p.partition("=")
         if not val:
             raise ValueError(f"malformed problem parameter {p!r} in {spec!r}")
-        params[key] = int(val)
+        if key in params:
+            raise bad(f"{key} given twice")
+        try:
+            params[key] = int(val)
+        except ValueError:
+            raise bad(f"{key} must be an integer, got {val!r}") from None
     factory = _FACTORIES.get(name)
     if factory is None:
         raise ValueError(f"unknown problem {spec!r}")
@@ -294,5 +301,8 @@ def problem_from_name(spec: str) -> TestProblem:
     try:
         inspect.signature(factory).bind(**params)
     except TypeError as err:
-        raise ValueError(f"bad parameters in problem {spec!r}: {err}") from None
-    return factory(**params)
+        raise bad(err) from None
+    try:
+        return factory(**params)
+    except ValueError as err:
+        raise bad(err) from err

@@ -71,7 +71,7 @@ class NotConvergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class IVProblem:
-    """Initial value problem dx/dt = rhs(t, x) on an interval.
+    """Initial value problem dx/dt = rhs(t, x), x(a) = x_a of size n.
 
     The optional constants are the Lipschitz constant (lip), the bound on
     the right-hand side over the ball of radius rho around the initial
@@ -79,7 +79,6 @@ class IVProblem:
     by the analysis module.
     """
 
-    n: int
     rhs: Callable[[float, np.ndarray], np.ndarray]
     x_a: np.ndarray
     iv: Interval
@@ -89,8 +88,8 @@ class IVProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "x_a", np.atleast_1d(np.asarray(self.x_a, dtype=float)))
-        if self.x_a.shape != (self.n,):
-            raise ValueError(f"x_a must have shape ({self.n},), got {self.x_a.shape}")
+        if self.x_a.ndim != 1:
+            raise ValueError(f"x_a must be 1-D, got shape {self.x_a.shape}")
 
 
 @dataclass
@@ -194,7 +193,8 @@ def solve(
     performed and the result is returned unconverged without raising.
     With tol > 0, failure to converge raises NotConvergedError carrying
     the solution and trace; the iteration stops at the first sweep whose
-    difference norm is NaN or inf.
+    difference norm is NaN or inf.  A given wm must be built on a grid
+    with the interval, N and h of grid.
     """
     if method not in ("jacobi", "gauss_seidel"):
         raise ValueError(f"unknown method {method!r}")
@@ -204,6 +204,8 @@ def solve(
         raise ValueError("max_sweeps must be at least 1")
     if wm is None:
         wm = build_weights(grid)
+    elif (wm.grid.iv, wm.grid.N, wm.grid.h) != (grid.iv, grid.N, grid.h):
+        raise ValueError("wm was built on a different grid: interval, N or h differ")
 
     state = np.tile(prob.x_a, (grid.m, 1))
     trace = IterationTrace(iterates=[] if store_iterates else None)
@@ -251,8 +253,6 @@ def reference_solution(
 def evaluate(sol: SincSolution, t: float) -> np.ndarray:
     """Evaluate the continuous approximate solution at any t in [a, b]."""
     grid = sol.grid
-    if not grid.iv.a <= t <= grid.iv.b:
-        raise ValueError(f"t = {t} outside interval [{grid.iv.a}, {grid.iv.b}]")
     s = phi_de_inv(t, grid.iv)
     kern = np.array([j_kernel(j, grid.h, s) for j in range(-grid.N, grid.N + 1)])
     return sol.x_a + (sol.f_nodes * grid.dphi[:, None] * kern[:, None]).sum(axis=0)

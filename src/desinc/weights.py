@@ -43,6 +43,10 @@ class WeightMatrix:
     grid: DEGrid
     gen: np.ndarray
 
+    def __post_init__(self):
+        if self.gen.shape != (2 * self.m - 1,):
+            raise ValueError(f"gen must have shape ({2 * self.m - 1},), got {self.gen.shape}")
+
     @property
     def m(self) -> int:
         return self.grid.m

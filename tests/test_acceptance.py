@@ -116,7 +116,7 @@ def test_criterion_8_sine_integral_properties():
 
 
 def test_criterion_9_toda_lv_pipeline():
-    s0 = TodaState(m=2, q=np.array([3.0, 3.0]), e=np.array([1.0]))
+    s0 = TodaState(q=np.array([3.0, 3.0]), e=np.array([1.0]))
     toda_ok = True
     for t in (0.1, 0.5, 1.0):
         out = toda_solve(s0, t)
@@ -125,12 +125,12 @@ def test_criterion_9_toda_lv_pipeline():
                     and abs(out.q[1] - exact[1]) < 1e-10
                     and abs(out.e[0] - exact[2]) < 1e-10)
     tp = example3()
-    lv_ok = all(np.max(np.abs(lv_exact(2, s0, t) - tp.exact(t))) < 1e-10
+    lv_ok = all(np.max(np.abs(lv_exact(s0, t) - tp.exact(t))) < 1e-10
                 for t in (0.1, 0.5, 1.0))
     rng = np.random.default_rng(31)
-    s3 = TodaState(m=3, q=rng.uniform(2.5, 3.5, 3), e=rng.uniform(0.25, 0.75, 2))
+    s3 = TodaState(q=rng.uniform(2.5, 3.5, 3), e=rng.uniform(0.25, 0.75, 2))
     ref = rk4(lv_rhs, miura_to_lv(s3), 0.0, 1.0, step=1e-5)
-    resid = float(np.max(np.abs(lv_exact(3, s3, 1.0) - ref)))
+    resid = float(np.max(np.abs(lv_exact(s3, 1.0) - ref)))
     ok = toda_ok and lv_ok and resid < 1e-7
     report(9, ok, f"2-site closed form: {toda_ok}, 3-species cross-check: {lv_ok}, "
                   f"3-site RK4 residual = {resid:.3e}")

@@ -127,14 +127,14 @@ class TestCheckAssumptions:
         assert rep.cond_iii_ok and rep.cond_lbound_ok
 
     def test_large_lipschitz_fails_flag(self):
-        prob = IVProblem(n=1, rhs=lambda t, x: x, x_a=np.array([1.0]),
+        prob = IVProblem(rhs=lambda t, x: x, x_a=np.array([1.0]),
                          iv=Interval(0.0, 1.0), lip=10.0, bound_m=2.0, rho=1.0)
         wm = build_weights(build_grid(prob.iv, 8))
         rep = check_assumptions(prob, wm)
         assert rep.cond_lbound_ok is False
 
     def test_missing_constants_marked_incomplete(self):
-        prob = IVProblem(n=1, rhs=lambda t, x: x, x_a=np.array([1.0]),
+        prob = IVProblem(rhs=lambda t, x: x, x_a=np.array([1.0]),
                          iv=Interval(0.0, 1.0))
         wm = build_weights(build_grid(prob.iv, 4))
         rep = check_assumptions(prob, wm)
@@ -221,3 +221,76 @@ class TestAnalyze:
         check_assumptions(tp.problem, wm)
         mgs_norm_exact(wm, tp.problem.lip)
         assert len(calls) == 2
+
+
+@st.composite
+def linear_problems(draw):
+    """A random x' = A x with L = ||A||_inf and L(b - a) in (0, 0.9], so
+    that 1.1 L (b - a) < 1 holds with room for rounding, on a shifted
+    interval, with its grid.  N n is capped at 512 to keep the sweeps
+    cheap."""
+    n = draw(st.integers(1, 5))
+    N = draw(st.integers(4, min(256, 512 // n)))
+    a = draw(st.floats(-10.0, 10.0))
+    iv = Interval(a, a + draw(st.floats(0.05, 2.0)))
+    lba = draw(st.floats(1e-6, 0.9))
+    h = math.log(N) / N * draw(st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.normal(size=(n, n))
+    A *= lba / (np.abs(A).sum(axis=1).max() * iv.length)
+    L = float(np.abs(A).sum(axis=1).max())
+    prob = IVProblem(rhs=lambda t, x: A @ x, x_a=rng.uniform(-1.0, 1.0, n), iv=iv, lip=L)
+    return prob, build_grid(iv, N, h)
+
+
+class TestConvergenceTheorem:
+    """The paper's two results on random linear problems, with
+    q = mgs_norm_exact: the closed-form bound dominates q, and q bounds
+    the Gauss-Seidel error contraction."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=linear_problems())
+    def test_bound_and_contraction(self, case):
+        prob, g = case
+        wm = build_weights(g)
+        q = mgs_norm_exact(wm, prob.lip)
+        assert mgs_bound(prob.lip, g.iv, g.h, g.N) >= q
+        # 40 sweeps reach the fixed point to roundoff for every q here
+        sol, trace = solve(prob, g, tol=0.0, max_sweeps=40, store_iterates=True, wm=wm)
+        fixed = sol.x_nodes
+        iterates = [np.tile(prob.x_a, (g.m, 1))] + trace.iterates
+        err = [float(np.max(np.abs(x - fixed))) for x in iterates]
+        # below this the errors are roundoff in the fixed point itself
+        floor = 1e-12 * float(np.max(np.abs(fixed)))
+        for k in range(1, len(err)):
+            if err[k] < floor:
+                break
+            assert err[k] <= q * err[k - 1]
+            if q < 1.0:
+                assert err[k] <= q / (1.0 - q) * trace.z_norms[k - 1]
+
+
+@st.composite
+def near_bound_hypothesis(draw):
+    """(L, a, b) with 1.1 L (b - a) within a few ulps of 1."""
+    a = draw(st.floats(-10.0, 10.0))
+    b = a + draw(st.floats(0.01, 10.0))
+    L = 1.0 / (1.1 * (b - a))
+    for _ in range(draw(st.integers(0, 4))):
+        L = math.nextafter(L, draw(st.sampled_from([0.0, math.inf])))
+    return L, a, b
+
+
+class TestBoundHypothesis:
+    @settings(max_examples=60, deadline=None)
+    @given(case=near_bound_hypothesis())
+    # analyze gave a finite bound here while check_assumptions reported the
+    # hypothesis failed: 1.1 * L * (b - a) and 1.1 * (L * (b - a)) round apart
+    @example(case=(9.494542381883877, 0.0, 0.09574878625277462))
+    def test_bound_absent_exactly_when_hypothesis_fails(self, case):
+        L, a, b = case
+        prob = IVProblem(rhs=lambda t, x: x, x_a=1.0, iv=Interval(a, b),
+                         lip=L, bound_m=1.0, rho=1.0)
+        wm = build_weights(build_grid(prob.iv, 4))
+        assert (analyze(wm, L).mgs_bound is None) == (
+            check_assumptions(prob, wm).cond_lbound_ok is False)

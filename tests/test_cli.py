@@ -256,6 +256,24 @@ class TestConfigHandling:
         assert out == ""
         assert err.startswith(f"error: bad parameters in problem {spec!r}")
 
+    @pytest.mark.parametrize("spec, reason", [pytest.param(spec, reason, id=spec) for spec, reason in [
+        ("lv:m=3:m=4", "m given twice"),
+        ("example2:n=11:n=13", "n given twice"),
+        ("example2:n=abc", "n must be an integer, got 'abc'"),
+        ("lv:m=3:seed=-1", None),  # the message is numpy's
+        ("example2:n=4", "n must be odd and at least 3, got 4"),
+        ("lv:m=1", "m must be at least 2"),
+    ]])
+    def test_problem_spec_errors_name_the_spec(self, capsys, spec, reason):
+        # a repeated key used to solve with its last value and exit 0; the
+        # others exited 2 without naming the spec
+        assert main(["solve", "--problem", spec, "--n", "8"]) == EXIT_BAD_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: bad parameters in problem {spec!r}: ")
+        if reason is not None:
+            assert err.endswith(f": {reason}\n")
+
     @pytest.mark.parametrize("data, key", [
         pytest.param({"n_list": "64"}, "n_list", id="n_list-string"),
         pytest.param({"n_list": [True, 8]}, "n_list", id="n_list-bool"),

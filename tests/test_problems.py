@@ -27,7 +27,7 @@ from desinc.problems import (
 
 from oracles import lv_exact_per_t, rk4, toda_rhs_check
 
-PAPER_TODA = TodaState(m=2, q=np.array([3.0, 3.0]), e=np.array([1.0]))
+PAPER_TODA = TodaState(q=np.array([3.0, 3.0]), e=np.array([1.0]))
 
 
 def toda_ode_rhs(t, y):
@@ -158,12 +158,12 @@ class TestTodaRhsCheck:
         assert np.allclose(np.diag(comm), [1.0, -1.0], atol=0)
 
     def test_zero_e_gives_zero_commutator(self):
-        s = TodaState(m=3, q=np.array([1.0, 2.0, 3.0]), e=np.zeros(2))
+        s = TodaState(q=np.array([1.0, 2.0, 3.0]), e=np.zeros(2))
         assert toda_rhs_check(s) == 0.0
 
     def test_random_state_structure(self):
         rng = np.random.default_rng(9)
-        s = TodaState(m=4, q=rng.normal(size=4), e=rng.uniform(0.5, 1.5, 3))
+        s = TodaState(q=rng.normal(size=4), e=rng.uniform(0.5, 1.5, 3))
         assert toda_rhs_check(s) < 1e-14
 
 
@@ -190,7 +190,7 @@ class TestTodaSolve:
 
     def test_against_rk4(self):
         rng = np.random.default_rng(13)
-        s0 = TodaState(m=3, q=rng.uniform(2.0, 4.0, 3), e=rng.uniform(0.5, 1.0, 2))
+        s0 = TodaState(q=rng.uniform(2.0, 4.0, 3), e=rng.uniform(0.5, 1.0, 2))
         t = 0.2
         y = rk4(toda_ode_rhs, np.concatenate([s0.q, s0.e]), 0.0, t, step=1e-4)
         out = toda_solve(s0, t)
@@ -199,7 +199,7 @@ class TestTodaSolve:
     @pytest.mark.parametrize("t", [0.25, 0.75, 1.5])
     def test_isospectral(self, t):
         rng = np.random.default_rng(21)
-        s0 = TodaState(m=4, q=rng.uniform(2.0, 4.0, 4), e=rng.uniform(0.5, 1.0, 3))
+        s0 = TodaState(q=rng.uniform(2.0, 4.0, 4), e=rng.uniform(0.5, 1.0, 3))
         out = toda_solve(s0, t)
         ev0 = np.sort(np.linalg.eigvals(s0.lax_matrix()).real)
         evt = np.sort(np.linalg.eigvals(out.lax_matrix()).real)
@@ -212,7 +212,7 @@ class TestMiura:
 
     def test_round_trip_rebuilds_state(self):
         rng = np.random.default_rng(17)
-        s = TodaState(m=3, q=rng.uniform(2.5, 3.5, 3), e=rng.uniform(0.25, 0.75, 2))
+        s = TodaState(q=rng.uniform(2.5, 3.5, 3), e=rng.uniform(0.25, 0.75, 2))
         x = miura_to_lv(s)
         x_pad = np.concatenate([[0.0], x])
         q = np.array([1.0 + x_pad[2 * k - 2] + x_pad[2 * k - 1] for k in range(1, 4)])
@@ -221,14 +221,14 @@ class TestMiura:
         assert np.allclose(e, s.e, rtol=1e-15)
 
     def test_near_zero_pivot_rejected(self):
-        s = TodaState(m=2, q=np.array([1.0, 3.0]), e=np.array([1.0]))  # x_1 = 0
+        s = TodaState(q=np.array([1.0, 3.0]), e=np.array([1.0]))  # x_1 = 0
         with pytest.raises(MiuraPivotError):
             miura_to_lv(s)
 
     def test_near_zero_pivot_in_stack_reported(self):
         # x_3 = q_2 - e_1/(q_1 - 1) - 1 vanishes in the second state only
         q = np.array([[3.0, 3.0, 3.0], [3.0, 1.5, 3.0], [3.0, 3.0, 3.0]])
-        s = TodaState(m=3, q=q, e=np.ones((3, 2)))
+        s = TodaState(q=q, e=np.ones((3, 2)))
         with pytest.raises(MiuraPivotError) as err:
             miura_to_lv(s)
         assert (err.value.index, err.value.value) == (3, 0.0)
@@ -236,37 +236,47 @@ class TestMiura:
 
     def test_stack_equals_per_state(self):
         rng = np.random.default_rng(19)
-        s = TodaState(m=4, q=rng.uniform(2.5, 3.5, (5, 4)), e=rng.uniform(0.25, 0.75, (5, 3)))
+        s = TodaState(q=rng.uniform(2.5, 3.5, (5, 4)), e=rng.uniform(0.25, 0.75, (5, 3)))
         x = miura_to_lv(s)
         assert x.shape == (5, 7)
         for k in range(5):
-            assert np.array_equal(x[k], miura_to_lv(TodaState(m=4, q=s.q[k], e=s.e[k])))
+            assert np.array_equal(x[k], miura_to_lv(TodaState(q=s.q[k], e=s.e[k])))
 
     def test_mapped_trajectory_satisfies_lv(self):
         rng = np.random.default_rng(23)
-        s0 = TodaState(m=3, q=rng.uniform(2.5, 3.5, 3), e=rng.uniform(0.25, 0.75, 2))
+        s0 = TodaState(q=rng.uniform(2.5, 3.5, 3), e=rng.uniform(0.25, 0.75, 2))
         step = 1e-6
         for t in (0.2, 0.5, 0.8):
-            fd = (lv_exact(3, s0, t + step) - lv_exact(3, s0, t - step)) / (2 * step)
-            x = lv_exact(3, s0, t)
+            fd = (lv_exact(s0, t + step) - lv_exact(s0, t - step)) / (2 * step)
+            x = lv_exact(s0, t)
             assert np.max(np.abs(fd - lv_rhs(t, x))) < 1e-7
 
 
 class TestTodaStateStack:
     def test_lax_matrix_of_stack(self):
         rng = np.random.default_rng(31)
-        s = TodaState(m=3, q=rng.normal(size=(2, 3)), e=rng.normal(size=(2, 2)))
+        s = TodaState(q=rng.normal(size=(2, 3)), e=rng.normal(size=(2, 2)))
         a = s.lax_matrix()
         assert a.shape == (2, 3, 3)
         for k in range(2):
             expected = np.diag(s.q[k]) + np.diag(np.ones(2), 1) + np.diag(s.e[k], -1)
             assert np.array_equal(a[k], expected)
 
+    def test_size_is_last_axis_of_q(self):
+        assert PAPER_TODA.m == 2
+        assert TodaState(q=np.ones((5, 4)), e=np.ones((5, 3))).m == 4
+
+    @pytest.mark.parametrize("q, e", [(3.0, np.ones(0)), (np.ones(3), np.ones(3)),
+                                      (np.ones(0), np.ones(0))])
+    def test_rejects_bad_shapes(self, q, e):
+        with pytest.raises(ValueError):
+            TodaState(q=q, e=e)
+
     def test_rejects_mismatched_stack(self):
         with pytest.raises(ValueError):
-            TodaState(m=2, q=np.ones((3, 2)), e=np.ones((2, 1)))
+            TodaState(q=np.ones((3, 2)), e=np.ones((2, 1)))
         with pytest.raises(ValueError):
-            TodaState(m=2, q=np.ones((3, 2)), e=np.ones(1))
+            TodaState(q=np.ones((3, 2)), e=np.ones(1))
 
 
 def _exact_problems():
@@ -283,11 +293,11 @@ class TestBatchedExact:
         # the grid holds nodes rounded onto both endpoints
         ts = np.concatenate([build_grid(iv, 64).t, [iv.a, iv.b, 0.5 * (iv.a + iv.b)]])
         stacked = tp.exact(ts)
-        assert stacked.shape == (len(ts), tp.problem.n)
+        assert stacked.shape == (len(ts), tp.problem.x_a.size)
         scalar = np.array([tp.exact(float(t)) for t in ts])
         assert scalar.shape == stacked.shape
         assert np.array_equal(stacked, scalar)
-        assert tp.exact(ts[:0]).shape == (0, tp.problem.n)
+        assert tp.exact(ts[:0]).shape == (0, tp.problem.x_a.size)
 
     def test_example1_matches_math_exp(self):
         ts = np.random.default_rng(1).uniform(0.0, 0.5, 2000)
@@ -352,33 +362,29 @@ class TestLvRhs:
 
 class TestLvExact:
     def test_paper_state_at_zero(self):
-        assert np.allclose(lv_exact(2, PAPER_TODA, 0.0), [2.0, 0.5, 1.5], atol=0)
+        assert np.allclose(lv_exact(PAPER_TODA, 0.0), [2.0, 0.5, 1.5], atol=0)
 
     def test_matches_example3_closed_form(self):
         tp = example3()
         for t in (0.1, 0.7, 1.0):
-            assert np.max(np.abs(lv_exact(2, PAPER_TODA, t) - tp.exact(t))) < 1e-12
+            assert np.max(np.abs(lv_exact(PAPER_TODA, t) - tp.exact(t))) < 1e-12
 
     def test_matches_rk4_for_three_sites(self):
         rng = np.random.default_rng(29)
-        s0 = TodaState(m=3, q=rng.uniform(2.5, 3.5, 3), e=rng.uniform(0.25, 0.75, 2))
+        s0 = TodaState(q=rng.uniform(2.5, 3.5, 3), e=rng.uniform(0.25, 0.75, 2))
         x0 = miura_to_lv(s0)
         t = 0.5
         ref = rk4(lv_rhs, x0, 0.0, t, step=1e-4)
-        assert np.max(np.abs(lv_exact(3, s0, t) - ref)) < 1e-7
-
-    def test_rejects_size_mismatch(self):
-        with pytest.raises(ValueError):
-            lv_exact(3, PAPER_TODA, 0.1)
+        assert np.max(np.abs(lv_exact(s0, t) - ref)) < 1e-7
 
 
 class TestProblemFromName:
     def test_known_names(self):
         assert problem_from_name("example1").name == "example1"
-        assert problem_from_name("example2:n=11").problem.n == 11
-        assert problem_from_name("example3").problem.n == 3
+        assert problem_from_name("example2:n=11").problem.x_a.size == 11
+        assert problem_from_name("example3").problem.x_a.size == 3
         tp = problem_from_name("lv:m=3:seed=7")
-        assert tp.problem.n == 5
+        assert tp.problem.x_a.size == 5
         assert np.allclose(tp.exact(0.0), tp.problem.x_a, atol=1e-14)
 
     def test_lv_reproducible(self):

@@ -26,8 +26,19 @@ from oracles import gauss_seidel_row_naive, gauss_seidel_sweep_naive
 
 
 def zero_problem(n=2):
-    return IVProblem(n=n, rhs=lambda t, x: np.zeros(n), x_a=np.arange(1.0, n + 1.0),
+    return IVProblem(rhs=lambda t, x: np.zeros(n), x_a=np.arange(1.0, n + 1.0),
                      iv=Interval(0.0, 1.0))
+
+
+class TestIVProblem:
+    def test_dimension_is_x_a_size(self):
+        assert IVProblem(rhs=lv_rhs, x_a=2.0, iv=Interval(0.0, 1.0)).x_a.shape == (1,)
+        assert zero_problem(3).x_a.size == 3
+
+    @pytest.mark.parametrize("x_a", [np.ones((2, 2)), np.ones((1, 3))])
+    def test_rejects_x_a_not_1d(self, x_a):
+        with pytest.raises(ValueError, match="1-D"):
+            IVProblem(rhs=lv_rhs, x_a=x_a, iv=Interval(0.0, 1.0))
 
 
 class TestJacobiSweep:
@@ -35,7 +46,7 @@ class TestJacobiSweep:
         prob = zero_problem()
         g = build_grid(prob.iv, 4)
         wm = build_weights(g)
-        cur = np.random.default_rng(0).normal(size=(g.m, prob.n))
+        cur = np.random.default_rng(0).normal(size=(g.m, prob.x_a.size))
         out = jacobi_sweep(prob, wm, cur)
         assert np.allclose(out, prob.x_a, atol=0)
 
@@ -74,7 +85,7 @@ class TestGaussSeidelSweep:
         prob = zero_problem()
         g = build_grid(prob.iv, 3)
         wm = build_weights(g)
-        state = np.random.default_rng(1).normal(size=(g.m, prob.n))
+        state = np.random.default_rng(1).normal(size=(g.m, prob.x_a.size))
         out = gauss_seidel_sweep(prob, wm, state)
         assert np.allclose(out, prob.x_a, atol=0)
 
@@ -102,7 +113,7 @@ class TestGaussSeidelSweep:
             rhs = lambda t, x: a @ x
         else:
             rhs = lv_rhs
-        prob = IVProblem(n=n, rhs=rhs, x_a=rng.uniform(-1.0, 1.0, n),
+        prob = IVProblem(rhs=rhs, x_a=rng.uniform(-1.0, 1.0, n),
                          iv=Interval(0.0, length))
         g = build_grid(prob.iv, N)
         wm = build_weights(g)
@@ -155,7 +166,7 @@ class TestGaussSeidelSweep:
         wm = WeightMatrix(grid=FakeGrid(), gen=np.array([0.2, 1.0, 1.5]))
         w = wm.w
         assert np.allclose(w, [[0.2, 0.05], [0.3, 0.25]], rtol=1e-15, atol=0)
-        prob = IVProblem(n=1, rhs=lambda t, x: x, x_a=np.array([1.0]),
+        prob = IVProblem(rhs=lambda t, x: x, x_a=np.array([1.0]),
                          iv=Interval(0.0, 1.0))
         u, v = 1.3, 0.8
         state = np.array([[u], [v]])
@@ -170,7 +181,7 @@ class TestGaussSeidelSweep:
                 raise FloatingPointError("boom")
             return x
 
-        prob = IVProblem(n=1, rhs=bad_rhs, x_a=np.array([1.0]), iv=Interval(0.0, 1.0))
+        prob = IVProblem(rhs=bad_rhs, x_a=np.array([1.0]), iv=Interval(0.0, 1.0))
         g = build_grid(prob.iv, 4)
         wm = build_weights(g)
         with pytest.raises(RhsEvaluationError) as err:
@@ -248,7 +259,7 @@ class TestSolve:
             calls.append(t)
             return x if t <= 0.4 else np.full_like(x, np.nan)
 
-        prob = IVProblem(n=1, rhs=rhs, x_a=np.array([1.0]), iv=Interval(0.0, 1.0))
+        prob = IVProblem(rhs=rhs, x_a=np.array([1.0]), iv=Interval(0.0, 1.0))
         g = build_grid(prob.iv, 16)
         with pytest.raises(NotConvergedError) as err:
             solve(prob, g, method=method, tol=1e-14, max_sweeps=50)
@@ -266,7 +277,7 @@ class TestSolve:
             calls.append(t)
             return x if t <= 0.4 else np.full_like(x, np.inf)
 
-        prob = IVProblem(n=1, rhs=rhs, x_a=np.array([1.0]), iv=Interval(0.0, 1.0))
+        prob = IVProblem(rhs=rhs, x_a=np.array([1.0]), iv=Interval(0.0, 1.0))
         g = build_grid(prob.iv, 16)
         with pytest.raises(NotConvergedError) as err:
             solve(prob, g, method=method, tol=1e-14, max_sweeps=50)
@@ -296,7 +307,7 @@ class TestSolve:
         def rhs(t, x):
             return x if t <= 0.4 else np.ones(2)
 
-        prob = IVProblem(n=1, rhs=rhs, x_a=np.array([1.0]), iv=Interval(0.0, 1.0))
+        prob = IVProblem(rhs=rhs, x_a=np.array([1.0]), iv=Interval(0.0, 1.0))
         g = build_grid(prob.iv, 8)
         wm = build_weights(g)
         with pytest.raises(RhsEvaluationError) as err:
@@ -337,7 +348,7 @@ class TestSolve:
     def test_short_rhs_result_rejected(self, stage):
         # one value for a three-dimensional problem would broadcast across
         # the node row and give a wrong solution that reports converged
-        prob = IVProblem(n=3, rhs=lambda t, x: np.array([x.sum()]),
+        prob = IVProblem(rhs=lambda t, x: np.array([x.sum()]),
                          x_a=np.array([1.0, 2.0, 3.0]), iv=Interval(0.0, 1.0))
         g = build_grid(prob.iv, 8)
         wm = build_weights(g)
@@ -360,6 +371,28 @@ class TestSolve:
             solve(tp.problem, g, tol=-1.0)
         with pytest.raises(ValueError):
             solve(tp.problem, g, max_sweeps=0)
+
+    @pytest.mark.parametrize("iv, N, h", [
+        pytest.param(Interval(0.0, 0.5), 16, 0.5, id="h"),
+        pytest.param(Interval(0.0, 0.5), 17, None, id="N"),
+        pytest.param(Interval(0.0, 1.0), 16, None, id="interval"),
+    ])
+    def test_rejects_weights_of_another_grid(self, iv, N, h):
+        # with the weights of h = 0.5 on the default-step grid, example1 at
+        # N = 16 reported converged with E1 = 0.172 instead of 6e-11
+        tp = example1()
+        g = build_grid(tp.problem.iv, 16)
+        wm = build_weights(build_grid(iv, N, h))
+        with pytest.raises(ValueError, match="different grid"):
+            solve(tp.problem, g, wm=wm)
+        with pytest.raises(ValueError, match="different grid"):
+            reference_solution(tp.problem, g, wm=wm)
+
+    def test_accepts_weights_of_identical_rebuilt_grid(self):
+        tp = example1()
+        wm = build_weights(build_grid(tp.problem.iv, 16))
+        sol, _ = solve(tp.problem, build_grid(tp.problem.iv, 16), wm=wm)
+        assert np.max(np.abs(sol.x_nodes - tp.exact(sol.grid.t))) < 1e-9
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
     def test_rejects_non_finite_tol(self, tol):

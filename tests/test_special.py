@@ -131,7 +131,7 @@ class TestPhiDEInv:
         assert math.isfinite(phi_de_inv(iv.a, iv))
         assert math.isfinite(phi_de_inv(iv.b, iv))
         assert phi_de_inv(iv.a, iv) < 0 < phi_de_inv(iv.b, iv)
-        prob = IVProblem(n=1, rhs=lambda t, x: x, x_a=np.array([1.0]), iv=iv)
+        prob = IVProblem(rhs=lambda t, x: x, x_a=np.array([1.0]), iv=iv)
         sol, _ = solve(prob, build_grid(iv, 16))
         assert evaluate(sol, iv.b)[0] == pytest.approx(math.e, rel=1e-9)
 

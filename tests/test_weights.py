@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from desinc.grid import build_grid
 from desinc.special import Interval, si
-from desinc.weights import build_weights, split
+from desinc.weights import WeightMatrix, build_weights, split
 
 from oracles import matmul_fsum, row_sum_norm, si_quadrature, weights_mpmath
 
@@ -86,6 +86,14 @@ class TestBuildWeights:
         g = build_grid(Interval(0.0, 1.0), 512)
         wm = build_weights(g)
         assert np.all(np.isfinite(wm.w))
+
+    @pytest.mark.parametrize("shape", [(3,), (8,), (10,), (11,), (9, 1)])
+    def test_rejects_generator_of_wrong_shape(self, shape):
+        # at N = 2 (m = 5) the generator holds 2m - 1 = 9 values; an
+        # 11-value one gave a 7 x 5 w and 5-row products without an error
+        g = build_grid(Interval(0.0, 1.0), 2)
+        with pytest.raises(ValueError, match=r"gen must have shape \(9,\)"):
+            WeightMatrix(grid=g, gen=np.ones(shape))
 
 
 class TestMatmul:
