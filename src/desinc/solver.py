@@ -76,7 +76,7 @@ class IVProblem:
     The optional constants are the Lipschitz constant (lip), the bound on
     the right-hand side over the ball of radius rho around the initial
     value (bound_m), and the ball radius itself (rho); they are only used
-    by the analysis module.
+    by the analysis module, and each must be positive and finite if given.
     """
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
@@ -90,6 +90,10 @@ class IVProblem:
         object.__setattr__(self, "x_a", np.atleast_1d(np.asarray(self.x_a, dtype=float)))
         if self.x_a.ndim != 1:
             raise ValueError(f"x_a must be 1-D, got shape {self.x_a.shape}")
+        for name in ("lip", "bound_m", "rho"):
+            v = getattr(self, name)
+            if v is not None and not 0.0 < v < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {v}")
 
 
 @dataclass

@@ -3,8 +3,9 @@ a fixed-step RK4 integrator, a quadrature-based sine integral, the weight
 matrix in 40-digit mpmath arithmetic, a matrix product with exactly
 rounded row sums, a literal double-loop Gauss-Seidel
 sweep, the infinity norm of a dense matrix, the comparison-matrix norm
-through a dense inverse, the Toda-lattice commutator check, and the exact
-Lotka-Volterra solution computed one time at a time.
+through a dense inverse and by a row-by-row forward substitution, the
+Toda-lattice commutator check, and the exact Lotka-Volterra solution
+computed one time at a time.
 """
 
 from __future__ import annotations
@@ -112,6 +113,22 @@ def mgs_norm_dense(w, L):
     inv = np.linalg.inv(np.eye(m) - L * np.tril(a, k=-1))
     y = inv @ (L * np.triu(a))
     return float(np.max(np.sum(np.abs(y), axis=1)))
+
+
+def mgs_norm_rowloop(wm, L):
+    """Infinity norm of (I - L|E|)^{-1} L(|D|+|F|) by forward substitution
+    on the generator, one row at a time: row i is one dot product of
+    |p_i|, ..., |p_1| with phi' * y over the rows already done."""
+    m, dphi = wm.m, wm.grid.dphi
+    df_rows = wm.abs_row_sums[1]
+    # rev[m - 1 - i : m - 1] = |p_i|, ..., |p_1|: row i of |E| without dphi
+    rev = np.abs(wm.gen[::-1])
+    y = np.empty(m)
+    g = np.empty(m)  # g[j] = dphi[j] * y[j] for the rows done so far
+    for i in range(m):
+        y[i] = L * (df_rows[i] + rev[m - 1 - i:m - 1] @ g[:i])
+        g[i] = dphi[i] * y[i]
+    return float(y.max())
 
 
 def toda_rhs_check(s) -> float:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from desinc import analysis, weights
 from desinc.analysis import (
     analyze,
     check_assumptions,
@@ -19,7 +20,7 @@ from desinc.solver import IterationTrace, IVProblem, solve
 from desinc.special import Interval
 from desinc.weights import WeightMatrix, build_weights, split
 
-from oracles import mgs_norm_dense, row_sum_norm
+from oracles import mgs_norm_dense, mgs_norm_rowloop, row_sum_norm
 
 
 def neumann_oracle(tsplit, L):
@@ -74,10 +75,35 @@ class TestMgsNormExact:
         ref = mgs_norm_dense(wm.w, L)
         assert mgs_norm_exact(wm, L) == pytest.approx(ref, rel=1e-12)
 
+    @settings(max_examples=30, deadline=None)
+    @given(N=st.integers(2, 2048),
+           a=st.floats(-10.0, 10.0),
+           length=st.floats(0.01, 10.0),
+           lba=st.floats(1e-6, 1.0))
+    # m = 4097 rows: 64 full blocks and a last block of one row
+    @example(N=2048, a=0.0, length=0.5, lba=0.5)
+    def test_matches_row_loop(self, N, a, length, lba):
+        wm = build_weights(build_grid(Interval(a, a + length), N))
+        L = lba / length
+        assert mgs_norm_exact(wm, L) == pytest.approx(mgs_norm_rowloop(wm, L), rel=1e-14)
+
     def test_rejects_nonpositive_l(self):
         wm = build_weights(build_grid(Interval(0.0, 1.0), 2))
         with pytest.raises(ValueError):
             mgs_norm_exact(wm, L=0.0)
+
+    # every term is nonnegative, so an overflowed row makes the norm +inf:
+    # at L = 1e300 a block solved in row order with partial pivoting meets
+    # a singular matrix, at L = 1e4 the row loop returns NaN from phi' = 0
+    # times an infinite y at the underflowed nodes, and at L = 1e308
+    # entries of L|E| themselves overflow
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("L, b, N", [(1e300, 1.0, 16), (1e4, 10.0, 1024),
+                                         (1e308, 10.0, 16)])
+    def test_overflow_gives_inf(self, L, b, N):
+        wm = build_weights(build_grid(Interval(0.0, b), N))
+        assert mgs_norm_exact(wm, L) == math.inf
+        assert analyze(wm, L).contraction is False
 
 
 class TestMgsBound:
@@ -211,10 +237,13 @@ class TestAnalyze:
 
     def test_row_sums_computed_once(self, monkeypatch):
         # analyze and check_assumptions on one weight matrix share its two
-        # row-sum convolutions
+        # row-sum convolutions; at N = 16 the m = 33 rows are one block of
+        # mgs_norm_exact, which then convolves nothing itself
         calls = []
-        convolve = np.convolve
-        monkeypatch.setattr(np, "convolve", lambda *a: calls.append(1) or convolve(*a))
+        convolve = weights._fft_convolve
+        for module in (weights, analysis):
+            monkeypatch.setattr(module, "_fft_convolve",
+                                lambda *a: calls.append(1) or convolve(*a))
         tp = example1()
         wm = build_weights(build_grid(tp.problem.iv, 16))
         analyze(wm, tp.problem.lip)

@@ -40,6 +40,20 @@ class TestIVProblem:
         with pytest.raises(ValueError, match="1-D"):
             IVProblem(rhs=lv_rhs, x_a=x_a, iv=Interval(0.0, 1.0))
 
+    # lip=-5, bound_m=-1 made check_assumptions report cond_lbound_ok, and
+    # lip=nan, rho=inf made it report cond_iii_ok
+    @pytest.mark.parametrize("consts", [
+        {"lip": -5.0, "bound_m": -1.0},
+        {"lip": math.nan, "rho": math.inf},
+        {"lip": 0.0},
+        {"bound_m": math.inf},
+        {"rho": -0.5},
+        {"rho": math.nan},
+    ])
+    def test_rejects_constant_not_positive_finite(self, consts):
+        with pytest.raises(ValueError, match="positive and finite"):
+            IVProblem(rhs=lv_rhs, x_a=1.0, iv=Interval(0.0, 1.0), **consts)
+
 
 class TestJacobiSweep:
     def test_zero_rhs_maps_to_initial_value(self):

@@ -123,6 +123,24 @@ class TestMatmul:
         assert np.all(np.abs(wm.w @ f - ref) <= bound)
 
 
+class TestAbsRowSums:
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.integers(2, 2048),
+           a=st.floats(-10.0, 10.0),
+           length=st.floats(0.01, 10.0),
+           scale=st.sampled_from([0.25, 1.0, 4.0]))
+    def test_match_direct_convolution(self, N, a, length, scale):
+        g = build_grid(Interval(a, a + length), N, math.log(N) / N * scale)
+        wm = build_weights(g)
+        m, p = wm.m, np.abs(wm.gen)
+        e_ref = np.concatenate([[0.0], np.convolve(p[m:], g.dphi)[:m - 1]])
+        df_ref = np.convolve(p[:m], g.dphi)[m - 1:]
+        for rows, ref in zip(wm.abs_row_sums, (e_ref, df_ref)):
+            # normwise: far below the largest sum only absolute accuracy
+            tol = 4.0 * np.finfo(float).eps * math.log2(m) * ref.max()
+            assert np.max(np.abs(rows - ref)) <= tol
+
+
 class TestSplit:
     def test_reassembly_exact(self):
         g = build_grid(Interval(0.0, 1.0), 5)
