@@ -31,6 +31,9 @@ __all__ = [
 DEFAULT_TOL = 1e-14
 DEFAULT_MAX_SWEEPS = 50
 
+# rows per block of the Gauss-Seidel sweep
+_BLOCK = 32
+
 
 class RhsEvaluationError(RuntimeError):
     """Right-hand-side evaluation failed at a specific node.
@@ -136,6 +139,23 @@ def _eval_rhs_all(prob: IVProblem, grid: DEGrid, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_sweep_arrays(prob: IVProblem, grid: DEGrid, state: np.ndarray,
+                        fvals: np.ndarray | None) -> None:
+    """Raise ValueError unless state, and fvals if given, are floating
+    arrays of shape (m, n), which a sweep can update in place."""
+    expected = (grid.m, prob.x_a.size)
+    for name, a in (("state", state), ("fvals", fvals)):
+        if a is None:
+            continue
+        if not isinstance(a, np.ndarray):
+            got = f"{type(a).__name__} of shape {np.shape(a)}"
+        elif a.shape != expected or not np.issubdtype(a.dtype, np.floating):
+            got = f"{a.dtype} array of shape {a.shape}"
+        else:
+            continue
+        raise ValueError(f"{name} must be a floating array of shape {expected}, got {got}")
+
+
 def jacobi_sweep(
     prob: IVProblem,
     wm: WeightMatrix,
@@ -144,10 +164,12 @@ def jacobi_sweep(
 ) -> np.ndarray:
     """One Jacobi sweep: every node is recomputed from the previous sweep
     only, into a new array; state is left unchanged.  fvals is the rhs
-    cache described in gauss_seidel_sweep.  The weights are applied by
-    WeightMatrix.matmul, which does not form the dense w.
+    cache described in gauss_seidel_sweep, and both arrays are checked as
+    there.  The weights are applied by WeightMatrix.matmul, which does not
+    form the dense w.
     """
     grid = wm.grid
+    _check_sweep_arrays(prob, grid, state, fvals)
     if fvals is None:
         fvals = _eval_rhs_all(prob, grid, state)
     new = prob.x_a[None, :] + wm.matmul(fvals)
@@ -167,17 +189,38 @@ def gauss_seidel_sweep(
     previous-sweep values for j >= i.  Each rhs value is computed once per
     node per sweep and cached in fvals; callers may pass a cache holding
     the rhs at the current state to avoid recomputation, and the cache is
-    left holding the rhs at the returned state.
+    left holding the rhs at the returned state.  state, and fvals if
+    given, must be floating arrays of shape (m, n); anything else raises
+    ValueError.
+
+    The nodes are walked in blocks of _BLOCK rows of the dense w.  At the
+    start of a block one matrix product sums each of its rows over the
+    columns outside the block; each node then adds a dot product over the
+    block's own columns.  So every row is summed in a different order than
+    by one m-long dot product, and node values differ from that by ulps.
     """
     grid = wm.grid
+    _check_sweep_arrays(prob, grid, state, fvals)
     if fvals is None:
         fvals = _eval_rhs_all(prob, grid, state)
-    w, x_a = wm.w, prob.x_a
-    for i in range(grid.m):
-        row = state[i]
-        # fvals[i] still holds the previous-sweep value here, as required.
-        np.add(x_a, w[i] @ fvals, out=row)
-        _eval_rhs(prob, grid, i, row, fvals[i])
+    w, x_a, m = wm.w, prob.x_a, grid.m
+    for i0 in range(0, m, _BLOCK):
+        i1 = min(i0 + _BLOCK, m)
+        # the columns left of the block hold this sweep's rhs values, those
+        # right of it last sweep's; the first and last blocks skip the
+        # empty product.  (np.dot would copy these strided slices of w.)
+        acc = np.full((i1 - i0, x_a.size), x_a)
+        if i0 > 0:
+            acc += w[i0:i1, :i0] @ fvals[:i0]
+        if i1 < m:
+            acc += w[i0:i1, i1:] @ fvals[i1:]
+        # a view: its rows before i already hold this sweep's values
+        f_block = fvals[i0:i1]
+        for i, acc_i, w_i in zip(range(i0, i1), acc, w[i0:i1, i0:i1]):
+            row = state[i]
+            # on a contiguous row, np.dot costs less per call than @
+            np.add(acc_i, np.dot(w_i, f_block), out=row)
+            _eval_rhs(prob, grid, i, row, fvals[i])
     return state
 
 

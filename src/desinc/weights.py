@@ -4,9 +4,11 @@ values that generate their Toeplitz factor.
 The product w @ f (the Jacobi sweep) is a linear convolution of the
 generator with phi' * f, done by FFT without forming w.  The dense matrix,
 with its diagonal / strictly-lower / strictly-upper triangular split, is
-formed only on request: by the Gauss-Seidel sweep, which reads it row by
-row (so also by the Gauss-Seidel reference solution of the trace command),
-and by the dump-weights command.
+formed only on request: by the Gauss-Seidel sweep (so also by the
+Gauss-Seidel reference solution of the trace command) and by the
+dump-weights command.  The sweep reads w in blocks of rows, one matrix
+product per block and then one short dot product per node, so its row sums
+differ by ulps from one m-long dot product per row.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """Independent reference implementations used only to check the library:
 a fixed-step RK4 integrator, a quadrature-based sine integral, the weight
 matrix in 40-digit mpmath arithmetic, a matrix product with exactly
-rounded row sums, a literal double-loop Gauss-Seidel
-sweep, the infinity norm of a dense matrix, the comparison-matrix norm
-through a dense inverse and by a row-by-row forward substitution, the
-Toda-lattice commutator check, and the exact Lotka-Volterra solution
-computed one time at a time.
+rounded row sums, a literal double-loop Gauss-Seidel sweep and one with an
+m-long dot product per node, the infinity norm of a dense matrix, the
+comparison-matrix norm through a dense inverse and by a row-by-row forward
+substitution, the Toda-lattice commutator check, and the exact
+Lotka-Volterra solution computed one time at a time.
 """
 
 from __future__ import annotations
@@ -79,6 +79,21 @@ def gauss_seidel_sweep_naive(x_a, w, tgrid, rhs, state):
     for i in range(len(tgrid)):
         new[i] = gauss_seidel_row_naive(x_a, w, tgrid, rhs, new, old, i)
     return np.array(new)
+
+
+def gauss_seidel_sweep_rowdot(prob, wm, state, fvals=None):
+    """Gauss-Seidel sweep in place with one m-long dot product of the dense
+    w per node, calling prob.rhs directly; same arguments, rhs calls and
+    rhs cache as desinc.solver.gauss_seidel_sweep, whose rows it sums in
+    another order."""
+    t, w = wm.grid.t, wm.w
+    if fvals is None:
+        fvals = np.array([prob.rhs(tk, x) for tk, x in zip(t, state)], dtype=float)
+    for i in range(wm.m):
+        # fvals[i] still holds the previous-sweep value here
+        state[i] = prob.x_a + w[i] @ fvals
+        fvals[i] = prob.rhs(t[i], state[i])
+    return state
 
 
 def matmul_fsum(w, f) -> np.ndarray:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from desinc.analysis import mgs_norm_exact
 from desinc.grid import build_grid
-from desinc.problems import example1, example2, example3, lv_rhs
+from desinc import solver
+from desinc.problems import example1, example2, example3, lv_rhs, problem_from_name
 from desinc.solver import (
     IVProblem,
     NotConvergedError,
@@ -22,7 +24,7 @@ from desinc.solver import (
 from desinc.special import Interval
 from desinc.weights import WeightMatrix, build_weights
 
-from oracles import gauss_seidel_row_naive, gauss_seidel_sweep_naive
+from oracles import gauss_seidel_row_naive, gauss_seidel_sweep_naive, gauss_seidel_sweep_rowdot
 
 
 def zero_problem(n=2):
@@ -115,7 +117,7 @@ class TestGaussSeidelSweep:
         assert np.max(np.abs(out - expected)) < 1e-15
 
     @settings(max_examples=40, deadline=None)
-    @given(N=st.integers(2, 24),
+    @given(N=st.integers(2, 40),
            n=st.integers(1, 4),
            field=st.sampled_from(["linear", "lv"]),
            length=st.floats(0.05, 2.0),
@@ -145,11 +147,28 @@ class TestGaussSeidelSweep:
                              for i in range(g.m)])
         finite = np.isfinite(expected).all(axis=1)
         assert np.array_equal(np.isfinite(out).all(axis=1), finite)
-        # the oracle sums term by term, the sweep by a dot product
+        # the oracle sums term by term, the sweep per block and per node
         err = np.abs(out[finite] - expected[finite])
         scale = max(1.0, np.max(np.abs(expected[finite]), initial=0.0))
         assert np.max(err, initial=0.0) <= 1e-13 * scale
         assert np.array_equal(fvals, [rhs(t, x) for t, x in zip(g.t, out)], equal_nan=True)
+
+    # m = 31, 33, 63, 65, 97 and 201: one node short of a block edge, one
+    # past it, and more than one block
+    @pytest.mark.parametrize("N", [15, 16, 31, 32, 48, 100])
+    @pytest.mark.parametrize("spec", ["example2:n=11", "lv:m=3:seed=0"])
+    def test_block_edges_match_rowdot_oracle(self, N, spec):
+        prob = problem_from_name(spec).problem
+        g = build_grid(prob.iv, N)
+        wm = build_weights(g)
+        rng = np.random.default_rng(N)
+        state = prob.x_a * rng.uniform(0.5, 1.5, (g.m, prob.x_a.size))
+        fvals = np.array([prob.rhs(t, x) for t, x in zip(g.t, state)])
+        expected = gauss_seidel_sweep_rowdot(prob, wm, state.copy(), fvals.copy())
+        out = gauss_seidel_sweep(prob, wm, state, fvals)
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(out - expected) <= 4 * eps * np.maximum(1.0, np.abs(expected)))
+        assert np.array_equal(fvals, [prob.rhs(t, x) for t, x in zip(g.t, out)])
 
     def test_ascending_order_is_load_bearing(self):
         # updating in descending order must give a different sweep result
@@ -202,6 +221,58 @@ class TestGaussSeidelSweep:
             gauss_seidel_sweep(prob, wm, np.ones((g.m, 1)))
         assert err.value.t > 0.4
         assert "node" in str(err.value)
+
+
+def shapes_named(name, m, a):
+    """A pattern for an error naming the array, the expected shape (m, 1)
+    and the shape of a."""
+    return f"{name} .*{re.escape(str((m, 1)))}.*{re.escape(str(np.shape(a)))}"
+
+
+class TestSweepArguments:
+    """Both sweeps reject a state or rhs cache they cannot update in place:
+    an integer array would truncate the rhs values, and a wrong shape would
+    fail only at some node, with an error that does not name it."""
+
+    @staticmethod
+    def case(N=4):
+        tp = example1()
+        prob = dataclasses.replace(tp.problem, rhs=lambda t, x: 1.5 * x)
+        g = build_grid(prob.iv, N)
+        return prob, build_weights(g), g.m
+
+    @pytest.mark.parametrize("sweep", [jacobi_sweep, gauss_seidel_sweep])
+    @pytest.mark.parametrize("make", [
+        lambda m: np.ones((m, 1), dtype=int),
+        lambda m: np.ones((m - 1, 1)),
+        lambda m: np.ones((m + 1, 1)),
+        lambda m: np.ones((m, 2)),
+        lambda m: np.ones(m),
+        lambda m: [[1.0]] * m,
+    ], ids=["int", "short", "long", "wide", "1-D", "list"])
+    def test_rejects_bad_state(self, sweep, make):
+        prob, wm, m = self.case()
+        state = make(m)
+        with pytest.raises(ValueError, match=shapes_named("state", m, state)):
+            sweep(prob, wm, state)
+
+    @pytest.mark.parametrize("sweep", [jacobi_sweep, gauss_seidel_sweep])
+    @pytest.mark.parametrize("make", [
+        lambda m: np.ones((m, 1), dtype=int),
+        lambda m: np.ones((m - 1, 1)),
+        lambda m: np.ones(m),
+    ], ids=["int", "short", "1-D"])
+    def test_rejects_bad_fvals(self, sweep, make):
+        prob, wm, m = self.case()
+        fvals = make(m)
+        with pytest.raises(ValueError, match=shapes_named("fvals", m, fvals)):
+            sweep(prob, wm, np.ones((m, 1)), fvals)
+
+    @pytest.mark.parametrize("sweep", [jacobi_sweep, gauss_seidel_sweep])
+    def test_float32_state_accepted(self, sweep):
+        prob, wm, m = self.case()
+        out = sweep(prob, wm, np.ones((m, 1), dtype=np.float32))
+        assert np.all(np.isfinite(out))
 
 
 class TestSolve:
@@ -298,6 +369,21 @@ class TestSolve:
         assert len(err.value.trace.z_norms) == 1
         assert not math.isfinite(err.value.trace.z_norms[0])
         assert len(calls) <= 2 * g.m
+
+    # the four problems of the benchmark, with the sweep replaced by the
+    # row-dot oracle through the name solve looks up
+    @pytest.mark.parametrize("N", [256, 1024])
+    @pytest.mark.parametrize("spec", ["example1", "example2:n=11", "example3", "lv:m=3:seed=0"])
+    def test_blocked_solve_matches_rowdot_solve(self, N, spec, monkeypatch):
+        prob = problem_from_name(spec).problem
+        g = build_grid(prob.iv, N)
+        wm = build_weights(g)
+        sol, trace = solve(prob, g, wm=wm)
+        monkeypatch.setattr(solver, "gauss_seidel_sweep", gauss_seidel_sweep_rowdot)
+        ref, ref_trace = solve(prob, g, wm=wm)
+        assert len(trace.z_norms) == len(ref_trace.z_norms)
+        scale = np.maximum(1.0, np.abs(ref.x_nodes))
+        assert np.max(np.abs(sol.x_nodes - ref.x_nodes) / scale) <= 1e-14
 
     def test_jacobi_solve_forms_no_dense_weights(self):
         tp = example3()
