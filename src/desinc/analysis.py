@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import IterationTrace, IVProblem
-from .special import Interval
+from .special import Interval, check_count, check_positive_finite
 from .weights import WeightMatrix, _fft_convolve
 
 __all__ = [
@@ -80,8 +80,7 @@ def mgs_norm_exact(wm: WeightMatrix, L: float) -> float:
     An overflow anywhere means that the norm exceeds the largest double,
     and the result is inf.
     """
-    if L <= 0.0:
-        raise ValueError("Lipschitz constant must be positive")
+    check_positive_finite("L", L)
     m, dphi = wm.m, wm.grid.dphi
     a = np.abs(wm.gen[m - 1:])  # a[k] = |p_k|, k = 0..m-1
     nb = min(m, _LEAF)
@@ -126,12 +125,9 @@ def mgs_bound(L: float, iv: Interval, h: float, N: int) -> float:
     Requires 1.1 * L * (b - a) < 1.  The value is independent of the
     problem dimension and, with h = log(N)/N, decreases as N grows.
     """
-    if L <= 0.0:
-        raise ValueError("Lipschitz constant must be positive")
-    if h <= 0.0:
-        raise ValueError("step size must be positive")
-    if N < 2:
-        raise ValueError("N must be at least 2")
+    check_positive_finite("L", L)
+    check_positive_finite("h", h)
+    check_count("N", N, 2)
     lhs, holds = _bound_hypothesis(L, iv)
     if not holds:
         raise ValueError(f"bound hypothesis violated: 1.1*L*(b-a) = {lhs} >= 1")
@@ -146,6 +142,8 @@ def check_assumptions(prob: IVProblem, wm: WeightMatrix) -> AssumptionReport:
     Reporting only: a failed condition does not mean the iteration
     diverges (the condition is sufficient, not necessary).
     """
+    if wm.grid.iv != prob.iv:
+        raise ValueError(f"weights on {wm.grid.iv} but problem on {prob.iv}")
     e_rows, df_rows = wm.abs_row_sums
     w = float(np.max(e_rows + df_rows))
     missing = [name for name, v in
@@ -177,8 +175,8 @@ def convergence_factor_observed(trace: IterationTrace) -> float:
     z = trace.z_norms
     if len(z) < 3:
         raise ValueError("need at least 3 difference norms to estimate a factor")
-    if any(v == 0.0 for v in z):
-        raise ValueError("difference norms must be nonzero")
+    for k, v in enumerate(z):
+        check_positive_finite(f"z_norms[{k}]", v)
     floor = _ROUNDOFF_FLOOR * np.finfo(float).eps * z[0]
     ratios = [z[k + 1] / z[k] for k in range(len(z) - 1)
               if z[k] > floor and z[k + 1] > floor]

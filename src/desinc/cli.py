@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 
@@ -20,6 +19,7 @@ from .grid import build_grid
 from .problems import problem_from_name
 from .solver import (DEFAULT_MAX_SWEEPS, DEFAULT_TOL, NotConvergedError,
                      reference_solution, solve)
+from .special import check_count, check_positive_finite
 from .weights import build_weights
 
 __all__ = ["RunConfig", "cmd_solve", "cmd_trace", "cmd_analyze", "cmd_dump_weights", "main"]
@@ -43,20 +43,14 @@ class RunConfig:
     def validate(self) -> None:
         if not self.n_list:
             raise ValueError("N list must be nonempty")
-        if any(n < 2 for n in self.n_list):
-            raise ValueError("every N must be at least 2")
+        for n in self.n_list:
+            check_count("N", n, 2)
         if self.method not in ("jacobi", "gauss_seidel"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
-        if not math.isfinite(self.tol):
-            raise ValueError("tol must be finite")
-        if self.max_sweeps < 1:
-            raise ValueError("max-sweeps must be at least 1")
-        if self.h_override is not None and self.h_override <= 0.0:
-            raise ValueError("h must be positive")
-        if self.h_override is not None and not math.isfinite(self.h_override):
-            raise ValueError("h must be finite")
+        check_positive_finite("tol", self.tol)
+        check_count("max-sweeps", self.max_sweeps, 1)
+        if self.h_override is not None:
+            check_positive_finite("h", self.h_override)
         if self.plot_script is not None and self.output == "-":
             raise ValueError("--plot-script needs --out FILE: the script reads the CSV file")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import Interval, dphi_de, phi_de
+from .special import Interval, check_count, check_positive_finite, dphi_de, phi_de
 
 __all__ = ["DEGrid", "build_grid"]
 
@@ -43,12 +43,9 @@ def build_grid(iv: Interval, N: int, h: float | None = None) -> DEGrid:
     h defaults to log(N)/N; an explicit h may be supplied for
     experimentation.
     """
-    if N < 2:
-        raise ValueError(f"N must be at least 2, got {N}")
-    if h is None:
-        h = default_step(N)
-    elif not 0.0 < h < math.inf:
-        raise ValueError(f"step size must be positive and finite, got {h}")
+    check_count("N", N, 2)
+    h = default_step(N) if h is None else h
+    check_positive_finite("h", h)
     j = np.arange(-N, N + 1, dtype=float)
     s = j * h
     t = phi_de(s, iv)

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .solver import IVProblem
-from .special import Interval
+from .special import Interval, check_count
 
 __all__ = [
     "TestProblem",
@@ -189,8 +189,7 @@ def lv_random(m: int, seed: int = 0) -> TestProblem:
     The Toda state is drawn so that the Miura recursion stays away from
     zero on a moderate time range.
     """
-    if m < 2:
-        raise ValueError("m must be at least 2")
+    check_count("m", m, 2)
     rng = np.random.default_rng(seed)
     s0 = TodaState(q=rng.uniform(2.5, 3.5, m), e=rng.uniform(0.25, 0.75, m - 1))
     x0 = miura_to_lv(s0)

@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import DEGrid
-from .special import Interval, j_kernel, phi_de_inv
+from .special import Interval, check_count, check_positive_finite, j_kernel, phi_de_inv
 from .weights import WeightMatrix, build_weights
 
 __all__ = [
@@ -94,9 +94,8 @@ class IVProblem:
         if self.x_a.ndim != 1:
             raise ValueError(f"x_a must be 1-D, got shape {self.x_a.shape}")
         for name in ("lip", "bound_m", "rho"):
-            v = getattr(self, name)
-            if v is not None and not 0.0 < v < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {v}")
+            if getattr(self, name) is not None:
+                check_positive_finite(name, getattr(self, name))
 
 
 @dataclass
@@ -240,15 +239,16 @@ def solve(
     performed and the result is returned unconverged without raising.
     With tol > 0, failure to converge raises NotConvergedError carrying
     the solution and trace; the iteration stops at the first sweep whose
-    difference norm is NaN or inf.  A given wm must be built on a grid
-    with the interval, N and h of grid.
+    difference norm is NaN or inf.  grid must be on prob.iv, and a given
+    wm built on a grid with the interval, N and h of grid.
     """
     if method not in ("jacobi", "gauss_seidel"):
         raise ValueError(f"unknown method {method!r}")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be nonnegative and finite, got {tol}")
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be at least 1")
+    check_count("max_sweeps", max_sweeps, 1)
+    if grid.iv != prob.iv:
+        raise ValueError(f"grid on {grid.iv} but problem on {prob.iv}")
     if wm is None:
         wm = build_weights(grid)
     elif (wm.grid.iv, wm.grid.N, wm.grid.h) != (grid.iv, grid.N, grid.h):

@@ -25,18 +25,29 @@ __all__ = [
 ]
 
 
+# the input rules of every public entry point and of the CLI (not exported)
+def check_positive_finite(name: str, v) -> None:
+    """Raise ValueError unless v is positive and finite."""
+    if not 0.0 < v < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {v}")
+
+
+def check_count(name: str, v, k: int) -> None:
+    """Raise ValueError unless v is an int or numpy integer, not a bool, of at least k."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < k:
+        raise ValueError(f"{name} must be an integer of at least {k}, got {v!r}")
+
+
 @dataclass(frozen=True)
 class Interval:
-    """Finite time interval [a, b] with a < b."""
+    """Finite time interval [a, b] with a < b and a finite length."""
 
     a: float
     b: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError("interval endpoints must be finite")
-        if not self.a < self.b:
-            raise ValueError(f"interval requires a < b, got [{self.a}, {self.b}]")
+        # b - a is finite only if a and b are, and positive only if a < b
+        check_positive_finite(f"length of interval [{self.a}, {self.b}]", self.b - self.a)
 
     @property
     def length(self) -> float:
@@ -92,6 +103,7 @@ def j_kernel(j: int, h: float, s: float) -> float:
     Tends to 0 as s -> -inf and to h as s -> +inf; not monotone in between
     because the sine integral oscillates.
     """
-    if h <= 0.0:
-        raise ValueError("step size h must be positive")
+    # check_positive_finite's test inline: it runs once per node per evaluate
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
     return h * (0.5 + si(math.pi * (s - j * h) / h) / math.pi)

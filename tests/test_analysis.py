@@ -159,6 +159,14 @@ class TestCheckAssumptions:
         rep = check_assumptions(prob, wm)
         assert rep.cond_lbound_ok is False
 
+    def test_rejects_weights_of_another_interval(self):
+        # on [0, 1] weights it reported w = 1 next to 1.1*L*(b-a) = 0.55
+        # from the problem's [0, 0.5]
+        tp = example1()
+        wm = build_weights(build_grid(Interval(0.0, 1.0), 16))
+        with pytest.raises(ValueError, match=r"b=1\.0.*b=0\.5"):
+            check_assumptions(tp.problem, wm)
+
     def test_missing_constants_marked_incomplete(self):
         prob = IVProblem(rhs=lambda t, x: x, x_a=np.array([1.0]),
                          iv=Interval(0.0, 1.0))

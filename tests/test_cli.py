@@ -262,7 +262,7 @@ class TestConfigHandling:
         ("example2:n=abc", "n must be an integer, got 'abc'"),
         ("lv:m=3:seed=-1", None),  # the message is numpy's
         ("example2:n=4", "n must be odd and at least 3, got 4"),
-        ("lv:m=1", "m must be at least 2"),
+        ("lv:m=1", "m must be an integer of at least 2, got 1"),
     ]])
     def test_problem_spec_errors_name_the_spec(self, capsys, spec, reason):
         # a repeated key used to solve with its last value and exit 0; the

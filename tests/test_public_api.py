@@ -1,14 +1,22 @@
-"""The public surface: every exported name resolves, and no constructor
-or function takes a size that its array arguments already fix."""
+"""The public surface: every exported name resolves, no constructor or
+function takes a size that its array arguments already fix, and every
+entry point rejects a bad positive-finite or integer-count input with a
+ValueError that names it."""
 
 import importlib
 import inspect
+import math
 import pkgutil
+import re
 
 import pytest
 
 import desinc
-from desinc import IVProblem, TodaState, lv_exact
+from desinc import (Interval, IterationTrace, IVProblem, TodaState, analyze, build_grid,
+                    build_weights, convergence_factor_observed, example1, j_kernel, lv_exact,
+                    mgs_bound, mgs_norm_exact, solve)
+from desinc.cli import RunConfig
+from desinc.problems import lv_random, lv_rhs
 
 MODULES = [desinc] + [importlib.import_module(f"desinc.{info.name}")
                       for info in pkgutil.iter_modules(desinc.__path__)]
@@ -25,3 +33,47 @@ def test_all_names_resolve(mod):
 def test_no_size_parameter(obj):
     # n is x_a.size and m is q.shape[-1]
     assert {"n", "m"}.isdisjoint(inspect.signature(obj).parameters)
+
+
+# Every positive-finite and integer-count parameter of the public entry
+# points and of the CLI's RunConfig: (callable, parameter, the call with
+# that parameter set to v).  The callable is only the test id.
+IV = Interval(0.0, 0.5)
+WM = build_weights(build_grid(IV, 4))
+POSITIVE_FINITE = [
+    ("IVProblem", "lip", lambda v: IVProblem(rhs=lv_rhs, x_a=1.0, iv=IV, lip=v)),
+    ("IVProblem", "bound_m", lambda v: IVProblem(rhs=lv_rhs, x_a=1.0, iv=IV, bound_m=v)),
+    ("IVProblem", "rho", lambda v: IVProblem(rhs=lv_rhs, x_a=1.0, iv=IV, rho=v)),
+    ("build_grid", "h", lambda v: build_grid(IV, 4, h=v)),
+    ("mgs_norm_exact", "L", lambda v: mgs_norm_exact(WM, v)),
+    ("analyze", "L", lambda v: analyze(WM, v)),
+    ("mgs_bound", "L", lambda v: mgs_bound(v, IV, 0.3, 4)),
+    ("mgs_bound", "h", lambda v: mgs_bound(1.0, IV, v, 4)),
+    ("j_kernel", "h", lambda v: j_kernel(0, v, 0.0)),
+    ("convergence_factor_observed", "z_norms",
+     lambda v: convergence_factor_observed(IterationTrace(z_norms=[1.0, 0.1, v, 1e-3]))),
+    ("RunConfig.validate", "tol", lambda v: RunConfig(tol=v).validate()),
+    ("RunConfig.validate", "h", lambda v: RunConfig(h_override=v).validate()),
+]
+COUNTS = [
+    ("build_grid", "N", lambda v: build_grid(IV, v)),
+    ("mgs_bound", "N", lambda v: mgs_bound(1.0, IV, 0.3, v)),
+    ("lv_random", "m", lambda v: lv_random(v)),
+    ("solve", "max_sweeps", lambda v: solve(example1().problem, WM.grid, max_sweeps=v)),
+    ("RunConfig.validate", "N", lambda v: RunConfig(n_list=[v]).validate()),
+    ("RunConfig.validate", "max-sweeps", lambda v: RunConfig(max_sweeps=v).validate()),
+]
+
+
+@pytest.mark.parametrize("call, param, value", [
+    pytest.param(call, param, value, id=f"{name}-{param}-{value}")
+    for table, values in ((POSITIVE_FINITE, (math.nan, math.inf, 0.0, -1.0)),
+                          (COUNTS, (8.0, 8.5)))
+    for name, param, call in table for value in values
+])
+def test_rejects_bad_input(call, param, value):
+    # NaN and inf L made mgs_norm_exact and analyze return inf and mgs_bound
+    # NaN, a NaN h made j_kernel NaN, N = 8.5 built a grid with m = 18.0, a
+    # float max_sweeps or m raised TypeError, and a NaN z-norm was skipped
+    with pytest.raises(ValueError, match=f"^{re.escape(param)}.* must be "):
+        call(value)

@@ -488,6 +488,15 @@ class TestSolve:
         with pytest.raises(ValueError, match="different grid"):
             reference_solution(tp.problem, g, wm=wm)
 
+    def test_rejects_grid_of_another_interval(self):
+        # example1 lives on [0, 0.5]; on a [0, 1] grid it converged with
+        # x(b) = 2.718, against the exact 1.649 at b = 0.5
+        tp = example1()
+        with pytest.raises(ValueError, match=r"a=1\.0.*a=0\.0, b=0\.5"):
+            solve(tp.problem, build_grid(Interval(1.0, 2.0), 16))
+        with pytest.raises(ValueError, match=r"b=1\.0.*b=0\.5"):
+            reference_solution(tp.problem, build_grid(Interval(0.0, 1.0), 16))
+
     def test_accepts_weights_of_identical_rebuilt_grid(self):
         tp = example1()
         wm = build_weights(build_grid(tp.problem.iv, 16))

@@ -228,3 +228,7 @@ class TestInterval:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             Interval(0.0, math.inf)
+        # finite endpoints whose length overflows: build_grid used to give
+        # t = [-inf, ..., nan, ..., inf] and phi' = inf at every node
+        with pytest.raises(ValueError, match="length of interval"):
+            Interval(-1e308, 1e308)
