@@ -1,51 +1,17 @@
 """DE Sinc-collocation solver for initial value problems, with
 Jacobi/Gauss-Seidel fixed-point solution of the collocation system and a
-convergence analysis of the Gauss-Seidel sweep."""
+convergence analysis of the Gauss-Seidel sweep.  Every public name of the
+six modules below is republished here; the CLI, desinc.cli, is not loaded."""
 
-from .analysis import (
-    AssumptionReport,
-    GSAnalysis,
-    analyze,
-    check_assumptions,
-    convergence_factor_observed,
-    mgs_bound,
-    mgs_norm_exact,
-)
-from .grid import DEGrid, build_grid
-from .problems import (
-    TestProblem,
-    TodaState,
-    example1,
-    example2,
-    example3,
-    lv_exact,
-    miura_to_lv,
-    toda_solve,
-)
-from .solver import (
-    IterationTrace,
-    IVProblem,
-    NotConvergedError,
-    SincSolution,
-    evaluate,
-    gauss_seidel_sweep,
-    jacobi_sweep,
-    reference_solution,
-    solve,
-)
-from .special import Interval, dphi_de, j_kernel, phi_de, phi_de_inv, si
-from .weights import TriangularSplit, WeightMatrix, build_weights, split
+from . import analysis, grid, problems, solver, special, weights
+from .analysis import *  # noqa: F403
+from .grid import *  # noqa: F403
+from .problems import *  # noqa: F403
+from .solver import *  # noqa: F403
+from .special import *  # noqa: F403
+from .weights import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssumptionReport", "GSAnalysis", "analyze", "check_assumptions",
-    "convergence_factor_observed", "mgs_bound", "mgs_norm_exact",
-    "DEGrid", "build_grid",
-    "TestProblem", "TodaState", "example1", "example2", "example3",
-    "lv_exact", "miura_to_lv", "toda_solve",
-    "IterationTrace", "IVProblem", "NotConvergedError", "SincSolution",
-    "evaluate", "gauss_seidel_sweep", "jacobi_sweep", "reference_solution", "solve",
-    "Interval", "dphi_de", "j_kernel", "phi_de", "phi_de_inv", "si",
-    "TriangularSplit", "WeightMatrix", "build_weights", "split",
-]
+__all__ = (analysis.__all__ + grid.__all__ + problems.__all__
+           + solver.__all__ + special.__all__ + weights.__all__)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -17,7 +18,7 @@ import numpy as np
 from .analysis import analyze, check_assumptions
 from .grid import build_grid
 from .problems import problem_from_name
-from .solver import (DEFAULT_MAX_SWEEPS, DEFAULT_TOL, NotConvergedError,
+from .solver import (DEFAULT_MAX_SWEEPS, DEFAULT_TOL, METHODS, NotConvergedError,
                      reference_solution, solve)
 from .special import check_count, check_positive_finite
 from .weights import build_weights
@@ -45,14 +46,18 @@ class RunConfig:
             raise ValueError("N list must be nonempty")
         for n in self.n_list:
             check_count("N", n, 2)
-        if self.method not in ("jacobi", "gauss_seidel"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         check_positive_finite("tol", self.tol)
         check_count("max-sweeps", self.max_sweeps, 1)
         if self.h_override is not None:
             check_positive_finite("h", self.h_override)
-        if self.plot_script is not None and self.output == "-":
-            raise ValueError("--plot-script needs --out FILE: the script reads the CSV file")
+        if self.plot_script is not None:
+            if self.output == "-":
+                raise ValueError("--plot-script needs --out FILE: the script reads the CSV file")
+            if os.path.realpath(self.plot_script) == os.path.realpath(self.output):
+                raise ValueError(f"--plot-script names the --out file {self.output!r}: "
+                                 "the script would overwrite the CSV")
 
 
 def _fmt(v) -> str:
@@ -188,7 +193,7 @@ _COMMANDS = {
 _OPTIONS = {
     "--problem": ("problem", {"help": "example1 | example2:n=11 | example3 | lv:m=3:seed=0"}),
     "--n": ("n_list", {"help": "comma-separated list of N values"}),
-    "--method": ("method", {"choices": ["jacobi", "gauss_seidel"]}),
+    "--method": ("method", {"choices": METHODS}),
     "--tol": ("tol", {"type": float}),
     "--max-sweeps": ("max_sweeps", {"type": int}),
     "--h": ("h_override", {"type": float, "help": "override the default step log(N)/N"}),

@@ -118,7 +118,8 @@ def example1() -> TestProblem:
 def example2(n: int = 11) -> TestProblem:
     """Semi-discrete heat equation x' = A x on [0, 1/8] with a unit spike
     at the center; n must be odd."""
-    if n < 3 or n % 2 == 0:
+    check_count("n", n, 3)
+    if n % 2 == 0:
         raise ValueError(f"n must be odd and at least 3, got {n}")
     a = (np.diag(-2.0 * np.ones(n))
          + np.diag(np.ones(n - 1), 1)
@@ -190,6 +191,7 @@ def lv_random(m: int, seed: int = 0) -> TestProblem:
     zero on a moderate time range.
     """
     check_count("m", m, 2)
+    check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     s0 = TodaState(q=rng.uniform(2.5, 3.5, m), e=rng.uniform(0.25, 0.75, m - 1))
     x0 = miura_to_lv(s0)

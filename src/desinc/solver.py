@@ -30,6 +30,8 @@ __all__ = [
 
 DEFAULT_TOL = 1e-14
 DEFAULT_MAX_SWEEPS = 50
+# the sweep kinds solve takes, in the order the CLI lists them
+METHODS = ("jacobi", "gauss_seidel")
 
 # rows per block of the Gauss-Seidel sweep
 _BLOCK = 32
@@ -242,7 +244,7 @@ def solve(
     difference norm is NaN or inf.  grid must be on prob.iv, and a given
     wm built on a grid with the interval, N and h of grid.
     """
-    if method not in ("jacobi", "gauss_seidel"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be nonnegative and finite, got {tol}")

@@ -65,15 +65,18 @@ def si(x: float) -> float:
 
 def phi_de(s, iv: Interval):
     """Double-exponential transform mapping the real line onto (a, b)."""
-    return 0.5 * iv.length * np.tanh(0.5 * np.pi * np.sinh(s)) + iv.midpoint
+    with np.errstate(over="ignore"):  # sinh is inf beyond |s| ~ 710; tanh is +-1 from ~3.2
+        return 0.5 * iv.length * np.tanh(0.5 * np.pi * np.sinh(s)) + iv.midpoint
 
 
 def dphi_de(s, iv: Interval):
     """Derivative of the DE transform; positive, may underflow to 0 for
     large |s|."""
+    # the denominator overflows to inf for |s| beyond ~6.5 and the value
+    # underflows to 0, which is accepted; the clip keeps cosh(s) finite,
+    # since beyond |s| ~ 710 the quotient would be inf/inf = NaN
+    s = np.clip(s, -20.0, 20.0)
     with np.errstate(over="ignore"):
-        # the denominator overflows to inf for |s| beyond ~6.5; the
-        # resulting underflow to 0 is accepted
         return (
             0.5 * iv.length * (0.5 * np.pi) * np.cosh(s)
             / np.cosh(0.5 * np.pi * np.sinh(s)) ** 2

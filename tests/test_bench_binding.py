@@ -77,3 +77,18 @@ def test_traced_calls_satisfy_consistency(tmp_path):
     for span in ("problems.rhs", "special.si", "special.j_kernel", "solver.solve",
                  "solver.gauss_seidel_sweep", "solver.jacobi_sweep", "analysis.analyze"):
         assert counters["calls"].get(span, 0) > 0, span
+
+
+def test_uninstall_restores_the_package_namespace():
+    # the package republishes problem_from_name, so install rebinds it
+    # there as well as in problems and cli
+    before = dict(vars(desinc))
+    tracer = bench_tracer.Tracer()
+    tracer.install(desinc)
+    try:
+        assert desinc.problem_from_name is not before["problem_from_name"]
+    finally:
+        tracer.uninstall()
+    after = vars(desinc)
+    assert after.keys() == before.keys()
+    assert [name for name, val in before.items() if after[name] is not val] == []

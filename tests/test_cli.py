@@ -260,7 +260,7 @@ class TestConfigHandling:
         ("lv:m=3:m=4", "m given twice"),
         ("example2:n=11:n=13", "n given twice"),
         ("example2:n=abc", "n must be an integer, got 'abc'"),
-        ("lv:m=3:seed=-1", None),  # the message is numpy's
+        ("lv:m=3:seed=-1", "seed must be an integer of at least 0, got -1"),
         ("example2:n=4", "n must be odd and at least 3, got 4"),
         ("lv:m=1", "m must be an integer of at least 2, got 1"),
     ]])
@@ -323,6 +323,22 @@ class TestConfigHandling:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: --plot-script needs --out FILE")
+
+    @pytest.mark.parametrize("script", ["out.csv", "./out.csv"])
+    @pytest.mark.parametrize("via", ["flags", "config"])
+    def test_plot_script_naming_the_output_rejected(self, tmp_path, monkeypatch, capsys,
+                                                    script, via):
+        # the script used to overwrite the CSV, with exit 0
+        monkeypatch.chdir(tmp_path)
+        if via == "flags":
+            argv = ["--out", "out.csv", "--plot-script", script]
+        else:
+            Path("cfg.json").write_text(json.dumps({"output": "out.csv", "plot_script": script}))
+            argv = ["--config", "cfg.json"]
+        assert main(["solve", "--problem", "example1", "--n", "8", *argv]) == EXIT_BAD_CONFIG
+        assert not Path("out.csv").exists()
+        assert capsys.readouterr() == ("", "error: --plot-script names the --out file 'out.csv': "
+                                           "the script would overwrite the CSV\n")
 
     def test_plot_script_rejected_by_dump_weights(self, tmp_path, capsys):
         out, script = tmp_path / "w.csv", tmp_path / "plot.py"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,3 +77,15 @@ def test_rejects_bad_inputs():
 def test_rejects_non_finite_step(h):
     with pytest.raises(ValueError, match="finite"):
         build_grid(Interval(0.0, 1.0), 4, h=h)
+
+
+def test_step_beyond_sinh_overflow_gives_endpoints():
+    # N*h = 800 > 710 overflowed sinh and cosh: two RuntimeWarnings, and
+    # phi' = inf/inf = NaN at the outer nodes
+    iv = Interval(0.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = build_grid(iv, 8, h=100.0)
+    assert np.all(np.isfinite(g.t)) and np.all((iv.a <= g.t) & (g.t <= iv.b))
+    assert np.all(g.dphi >= 0.0)
+    assert g.t[0] == iv.a and g.t[-1] == iv.b

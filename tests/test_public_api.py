@@ -1,25 +1,33 @@
-"""The public surface: every exported name resolves, no constructor or
-function takes a size that its array arguments already fix, and every
-entry point rejects a bad positive-finite or integer-count input with a
-ValueError that names it."""
+"""The public surface: every exported name resolves, the package
+republishes each library submodule's names, the README quick start runs,
+no constructor or function takes a size that its array arguments already
+fix, and every entry point rejects a bad positive-finite or integer-count
+input with a ValueError that names it."""
 
 import importlib
 import inspect
 import math
+import os
 import pkgutil
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import desinc
 from desinc import (Interval, IterationTrace, IVProblem, TodaState, analyze, build_grid,
-                    build_weights, convergence_factor_observed, example1, j_kernel, lv_exact,
-                    mgs_bound, mgs_norm_exact, solve)
+                    build_weights, convergence_factor_observed, example1, example2, j_kernel,
+                    lv_exact, lv_random, lv_rhs, mgs_bound, mgs_norm_exact, solve)
 from desinc.cli import RunConfig
-from desinc.problems import lv_random, lv_rhs
 
 MODULES = [desinc] + [importlib.import_module(f"desinc.{info.name}")
                       for info in pkgutil.iter_modules(desinc.__path__)]
+# every submodule but the command-line front end, in the package's order
+LIBRARY = [desinc.analysis, desinc.grid, desinc.problems, desinc.solver, desinc.special,
+           desinc.weights]
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.mark.parametrize("mod", MODULES, ids=lambda mod: mod.__name__)
@@ -27,6 +35,43 @@ def test_all_names_resolve(mod):
     assert mod.__all__
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_package_republishes_each_library_module():
+    assert {mod.__name__ for mod in LIBRARY} | {"desinc.cli"} == {
+        mod.__name__ for mod in MODULES[1:]}
+    names = [name for mod in LIBRARY for name in mod.__all__]
+    assert desinc.__all__ == names
+    assert len(set(names)) == len(names)
+    for mod in LIBRARY:
+        for name in mod.__all__:
+            assert getattr(desinc, name) is getattr(mod, name), name
+
+
+def test_names_missing_from_the_old_package_list_import():
+    # each is public in its module but was left out of the package's own
+    # copy of the list, so importing it from desinc was an ImportError
+    from desinc import (LRDecompositionError, MiuraPivotError, RhsEvaluationError,  # noqa: F401
+                        lr_decompose, lv_random, lv_rhs, problem_from_name)
+
+
+def _run_python(code: str) -> str:
+    src = str(Path(desinc.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True).stdout
+
+
+def test_import_leaves_cli_unloaded():
+    assert _run_python("import sys, desinc; print('desinc.cli' in sys.modules)") == "False\n"
+
+
+def test_readme_quick_start_runs():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    _run_python(code)
 
 
 @pytest.mark.parametrize("obj", [IVProblem, TodaState, lv_exact], ids=lambda obj: obj.__name__)
@@ -59,6 +104,8 @@ COUNTS = [
     ("build_grid", "N", lambda v: build_grid(IV, v)),
     ("mgs_bound", "N", lambda v: mgs_bound(1.0, IV, 0.3, v)),
     ("lv_random", "m", lambda v: lv_random(v)),
+    ("lv_random", "seed", lambda v: lv_random(3, seed=v)),
+    ("example2", "n", lambda v: example2(v)),
     ("solve", "max_sweeps", lambda v: solve(example1().problem, WM.grid, max_sweeps=v)),
     ("RunConfig.validate", "N", lambda v: RunConfig(n_list=[v]).validate()),
     ("RunConfig.validate", "max-sweeps", lambda v: RunConfig(max_sweeps=v).validate()),
@@ -68,12 +115,14 @@ COUNTS = [
 @pytest.mark.parametrize("call, param, value", [
     pytest.param(call, param, value, id=f"{name}-{param}-{value}")
     for table, values in ((POSITIVE_FINITE, (math.nan, math.inf, 0.0, -1.0)),
-                          (COUNTS, (8.0, 8.5)))
+                          (COUNTS, (8.0, 8.5, True, -1)))
     for name, param, call in table for value in values
 ])
 def test_rejects_bad_input(call, param, value):
     # NaN and inf L made mgs_norm_exact and analyze return inf and mgs_bound
     # NaN, a NaN h made j_kernel NaN, N = 8.5 built a grid with m = 18.0, a
-    # float max_sweeps or m raised TypeError, and a NaN z-norm was skipped
+    # float max_sweeps, m or example2 n raised TypeError, a NaN z-norm was
+    # skipped, a negative or float seed raised numpy's error and seed=True
+    # was accepted
     with pytest.raises(ValueError, match=f"^{re.escape(param)}.* must be "):
         call(value)
