@@ -49,7 +49,7 @@ class GSAnalysis:
 @dataclass(frozen=True)
 class AssumptionReport:
     cond_iii_ok: bool | None  # w <= rho / M
-    cond_lbound_ok: bool | None  # 1.1 * L * (b - a) < 1
+    cond_lbound_ok: bool | None  # the bound hypothesis, see _bound_hypothesis
     w: float
     details: str
 
@@ -113,22 +113,31 @@ def mgs_norm_exact(wm: WeightMatrix, L: float) -> float:
     return float(norm) if norm < math.inf else math.inf
 
 
-def _bound_hypothesis(L: float, iv: Interval) -> tuple[float, bool]:
-    """1.1 * L * (b - a) and whether it is below 1, the bound hypothesis."""
+def _bound_hypothesis(L: float, iv: Interval, w: float) -> tuple[float, bool]:
+    """1.1 * L * (b - a), and whether the bound hypothesis holds: that
+    value is below 1, and w, the largest row sum of |w|, is at most
+    1.1 * (b - a)."""
     lhs = 1.1 * (L * iv.length)
-    return lhs, lhs < 1.0
+    return lhs, lhs < 1.0 and w <= 1.1 * iv.length
 
 
 def mgs_bound(L: float, iv: Interval, h: float, N: int) -> float:
     """Closed-form upper bound on the comparison-matrix norm.
 
-    Requires 1.1 * L * (b - a) < 1.  The value is independent of the
-    problem dimension and, with h = log(N)/N, decreases as N grows.
+    Requires 1.1 * L * (b - a) < 1, and raises ValueError otherwise.  It
+    also needs w <= 1.1 * (b - a), w the largest row sum of |w|, which
+    these arguments cannot show; analyze and check_assumptions check both
+    (_bound_hypothesis).  That second hypothesis is grounded by a probe, not
+    quoted from the paper: no case meeting it had the value below the exact
+    norm, while at N = 8, h = 20 on [0, 1/2] (w = 8.56) the value is 15.40
+    against a norm of 33.60.  The value is independent of the problem
+    dimension and, with h = log(N)/N, decreases as N grows.
     """
     check_positive_finite("L", L)
     check_positive_finite("h", h)
     check_count("N", N, 2)
-    lhs, holds = _bound_hypothesis(L, iv)
+    # w = 0 checks only the half of the hypothesis that the arguments show
+    lhs, holds = _bound_hypothesis(L, iv, 0.0)
     if not holds:
         raise ValueError(f"bound hypothesis violated: 1.1*L*(b-a) = {lhs} >= 1")
     return L * iv.length * h / (1.0 - lhs) * (
@@ -156,7 +165,7 @@ def check_assumptions(prob: IVProblem, wm: WeightMatrix) -> AssumptionReport:
     # roundoff allowance: the discrete w approaches b-a from below but can
     # land a few ulps above it, and rho/M often sits exactly on that value
     cond_iii = w <= prob.rho / prob.bound_m * (1.0 + 1e-12)
-    lhs, cond_lbound = _bound_hypothesis(prob.lip, prob.iv)
+    lhs, cond_lbound = _bound_hypothesis(prob.lip, prob.iv, w)
     details = (
         f"w = {w:.6g}, rho/M = {prob.rho / prob.bound_m:.6g}, "
         f"1.1*L*(b-a) = {lhs:.6g}"
@@ -189,11 +198,9 @@ def analyze(wm: WeightMatrix, L: float) -> GSAnalysis:
     """Full analysis row for one weight matrix and Lipschitz constant."""
     grid = wm.grid
     e_rows, df_rows = wm.abs_row_sums
+    w = float(np.max(e_rows + df_rows))
     norm = mgs_norm_exact(wm, L)
-    try:
-        bound = mgs_bound(L, grid.iv, grid.h, grid.N)
-    except ValueError:
-        bound = None
+    _, holds = _bound_hypothesis(L, grid.iv, w)
+    bound = mgs_bound(L, grid.iv, grid.h, grid.N) if holds else None
     return GSAnalysis(mgs_norm=norm, mgs_bound=bound, e_norm=float(e_rows.max()),
-                      df_norm=float(df_rows.max()), w=float(np.max(e_rows + df_rows)),
-                      contraction=norm < 1.0)
+                      df_norm=float(df_rows.max()), w=w, contraction=norm < 1.0)

@@ -29,6 +29,9 @@ EXIT_OK = 0
 EXIT_NOT_CONVERGED = 1
 EXIT_BAD_CONFIG = 2
 
+# rows of w per block that dump-weights forms and writes
+_DUMP_ROWS = 32
+
 
 @dataclass
 class RunConfig:
@@ -145,8 +148,8 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
 
 def cmd_dump_weights(cfg: RunConfig) -> int:
-    """Dump the dense weight matrix, one row per line, full-precision
-    scientific notation."""
+    """Dump the weight matrix, one row per line, full-precision scientific
+    notation."""
     if len(cfg.n_list) != 1:
         raise ValueError("dump-weights needs exactly one N")
     if cfg.plot_script is not None:
@@ -155,7 +158,10 @@ def cmd_dump_weights(cfg: RunConfig) -> int:
     grid = build_grid(tp.problem.iv, cfg.n_list[0], cfg.h_override)
     wm = build_weights(grid)
     with _open_out(cfg.output) as fh:
-        np.savetxt(fh, wm.w, fmt="%.17e", delimiter=",")
+        # row blocks of w = P diag(dphi), so the m x m matrix is never formed
+        for i0 in range(0, grid.m, _DUMP_ROWS):
+            np.savetxt(fh, grid.dphi * wm.p_rows(i0, i0 + _DUMP_ROWS), fmt="%.17e",
+                       delimiter=",")
     return EXIT_OK
 
 

@@ -82,6 +82,7 @@ class IVProblem:
     the right-hand side over the ball of radius rho around the initial
     value (bound_m), and the ball radius itself (rho); they are only used
     by the analysis module, and each must be positive and finite if given.
+    x_a must be a nonempty 1-D array (or a scalar) of finite values.
     """
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
@@ -93,8 +94,10 @@ class IVProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "x_a", np.atleast_1d(np.asarray(self.x_a, dtype=float)))
-        if self.x_a.ndim != 1:
-            raise ValueError(f"x_a must be 1-D, got shape {self.x_a.shape}")
+        if self.x_a.ndim != 1 or self.x_a.size == 0:
+            raise ValueError(f"x_a must be 1-D and nonempty, got shape {self.x_a.shape}")
+        if not np.all(np.isfinite(self.x_a)):
+            raise ValueError(f"x_a must be finite, got {self.x_a}")
         for name in ("lip", "bound_m", "rho"):
             if getattr(self, name) is not None:
                 check_positive_finite(name, getattr(self, name))
@@ -194,34 +197,45 @@ def gauss_seidel_sweep(
     given, must be floating arrays of shape (m, n); anything else raises
     ValueError.
 
-    The nodes are walked in blocks of _BLOCK rows of the dense w.  At the
-    start of a block one matrix product sums each of its rows over the
-    columns outside the block; each node then adds a dot product over the
-    block's own columns.  So every row is summed in a different order than
-    by one m-long dot product, and node values differ from that by ulps.
+    w = P diag(dphi) is read from its Toeplitz factor (WeightMatrix.p_rows)
+    in blocks of _BLOCK rows, so no m x m array is formed.  The sweep keeps
+    g = dphi * fvals.  At the start of a block its rows of P are copied out
+    once, and a matrix product with g sums each row over the columns
+    outside the block.  Each node then adds a dot product of fvals over the
+    block's own columns, with the weights dphi[j] * P[i, j].  So every row
+    is summed in another order than by one m-long dot product of the dense
+    w, and node values differ from that by ulps.
     """
     grid = wm.grid
     _check_sweep_arrays(prob, grid, state, fvals)
     if fvals is None:
         fvals = _eval_rhs_all(prob, grid, state)
-    w, x_a, m = wm.w, prob.x_a, grid.m
+    x_a, m, dphi = prob.x_a, grid.m, grid.dphi
+    # the rows before the current block hold this sweep's values, the rows
+    # from it on last sweep's
+    g = dphi[:, None] * fvals
+    # P is Toeplitz, so its leading block is every block's own block
+    p_diag = wm.p_rows(0, _BLOCK)[:, :_BLOCK]
+    p_buf = np.empty((p_diag.shape[0], m))
     for i0 in range(0, m, _BLOCK):
         i1 = min(i0 + _BLOCK, m)
-        # the columns left of the block hold this sweep's rhs values, those
-        # right of it last sweep's; the first and last blocks skip the
-        # empty product.  (np.dot would copy these strided slices of w.)
+        p_block = p_buf[:i1 - i0]
+        p_block[...] = wm.p_rows(i0, i1)
+        # the first and last blocks skip their empty product
         acc = np.full((i1 - i0, x_a.size), x_a)
         if i0 > 0:
-            acc += w[i0:i1, :i0] @ fvals[:i0]
+            acc += p_block[:, :i0] @ g[:i0]
         if i1 < m:
-            acc += w[i0:i1, i1:] @ fvals[i1:]
+            acc += p_block[:, i1:] @ g[i1:]
+        w_block = dphi[i0:i1] * p_diag[:i1 - i0, :i1 - i0]
         # a view: its rows before i already hold this sweep's values
         f_block = fvals[i0:i1]
-        for i, acc_i, w_i in zip(range(i0, i1), acc, w[i0:i1, i0:i1]):
+        for i, acc_i, w_i in zip(range(i0, i1), acc, w_block):
             row = state[i]
             # on a contiguous row, np.dot costs less per call than @
             np.add(acc_i, np.dot(w_i, f_block), out=row)
             _eval_rhs(prob, grid, i, row, fvals[i])
+        np.multiply(dphi[i0:i1, None], f_block, out=g[i0:i1])
     return state
 
 

@@ -1,14 +1,12 @@
 """Collocation weights w_ij = phi'(s_j) * J(j,h)(s_i), held as the 4N+1
 values that generate their Toeplitz factor.
 
-The product w @ f (the Jacobi sweep) is a linear convolution of the
-generator with phi' * f, done by FFT without forming w.  The dense matrix,
-with its diagonal / strictly-lower / strictly-upper triangular split, is
-formed only on request: by the Gauss-Seidel sweep (so also by the
-Gauss-Seidel reference solution of the trace command) and by the
-dump-weights command.  The sweep reads w in blocks of rows, one matrix
-product per block and then one short dot product per node, so its row sums
-differ by ulps from one m-long dot product per row.
+The generator is the only form of the weights that is kept.  The product
+w @ f (the Jacobi sweep) is a linear convolution of the generator with
+phi' * f, done by FFT.  The Gauss-Seidel sweep and the dump-weights
+command read the Toeplitz factor a block of rows at a time, as a view of
+the generator, so neither forms the m x m w.  Only split, the dense
+diagonal / strictly-lower / strictly-upper partition, does.
 """
 
 from __future__ import annotations
@@ -31,10 +29,9 @@ class WeightMatrix:
 
     w[i, j] = dphi[j] * p_{i-j} with p_k = h * (1/2 + Si(pi k)/pi), i.e.
     w = P diag(dphi) with P Toeplitz.  Only the generator gen, with
-    gen[k + m - 1] = p_k for k = -(m-1)..m-1, is stored.  matmul applies w
-    through the generator's spectrum; the dense w is formed on first
-    access, as a C-contiguous (m, m) array owned by this object.  Each is
-    computed once and kept, and so are the row sums of |w|.
+    gen[k + m - 1] = p_k for k = -(m-1)..m-1, is stored; p_rows reads rows
+    of P from it.  matmul applies w through the generator's spectrum,
+    which is computed once and kept, and so are the row sums of |w|.
 
     matmul is accurate normwise: the error in column c of w @ f is a few
     eps times max_i (|w| |f|)_ic, so a row whose own (|w| |f|)_ic is much
@@ -54,11 +51,15 @@ class WeightMatrix:
         return self.grid.m
 
     @cached_property
-    def w(self) -> np.ndarray:
-        # P[i, j] = gen[i - j + m - 1] is a strided view of the generator,
-        # so the only m x m pass is the scaling of its columns by dphi
-        p = np.lib.stride_tricks.sliding_window_view(self.gen, self.m)[:, ::-1]
-        return self.grid.dphi[None, :] * p
+    def _p(self) -> np.ndarray:
+        # P[i, j] = gen[i - j + m - 1]: a read-only strided view of gen,
+        # made once because sliding_window_view costs microseconds a call
+        return np.lib.stride_tricks.sliding_window_view(self.gen, self.m)[:, ::-1]
+
+    def p_rows(self, i0: int, i1: int) -> np.ndarray:
+        """Rows i0..i1-1 of P (clipped to m), as a read-only view of the
+        generator.  Rows of w are dphi[None, :] * p_rows(i0, i1)."""
+        return self._p[i0:i1]
 
     @cached_property
     def _spectrum(self) -> tuple[int, np.ndarray]:
@@ -138,8 +139,8 @@ def build_weights(grid: DEGrid) -> WeightMatrix:
 
 def split(wm: WeightMatrix) -> TriangularSplit:
     """Exact partition of the dense w into diagonal, strictly lower and
-    strictly upper parts; no arithmetic is performed on the entries."""
-    w = wm.w
+    strictly upper parts; each entry is the one product dphi[j] * P[i, j]."""
+    w = wm.grid.dphi * wm.p_rows(0, wm.m)
     return TriangularSplit(
         d=np.diag(w).copy(),
         e=np.tril(w, k=-1),

@@ -1,4 +1,21 @@
 import sys
+import tracemalloc
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+@pytest.fixture
+def peak_bytes():
+    """A function that calls fn() under tracemalloc and returns the peak
+    number of bytes allocated while it ran."""
+    def measure(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return measure

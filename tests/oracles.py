@@ -1,11 +1,12 @@
 """Independent reference implementations used only to check the library:
-a fixed-step RK4 integrator, a quadrature-based sine integral, the weight
-matrix in 40-digit mpmath arithmetic, a matrix product with exactly
-rounded row sums, a literal double-loop Gauss-Seidel sweep and one with an
-m-long dot product per node, the infinity norm of a dense matrix, the
-comparison-matrix norm through a dense inverse and by a row-by-row forward
-substitution, the Toda-lattice commutator check, and the exact
-Lotka-Volterra solution computed one time at a time.
+a fixed-step RK4 integrator, a quadrature-based sine integral, the dense
+weight matrix from the generator, the weight matrix in 40-digit mpmath
+arithmetic, a matrix product with exactly rounded row sums, a literal
+double-loop Gauss-Seidel sweep and one with an m-long dot product per
+node, the infinity norm of a dense matrix, the comparison-matrix norm
+through a dense inverse and by a row-by-row forward substitution, the
+Toda-lattice commutator check, and the exact Lotka-Volterra solution
+computed one time at a time.
 """
 
 from __future__ import annotations
@@ -48,6 +49,25 @@ def si_quadrature(x: float) -> float:
     return total
 
 
+# the last matrix dense_weights built, with its WeightMatrix: a solve
+# that sweeps with gauss_seidel_sweep_rowdot asks for it once per sweep
+_last_dense: tuple = (None, None)
+
+
+def dense_weights(wm) -> np.ndarray:
+    """The m x m weights w[i, j] = dphi[j] * gen[i - j + m - 1] of a
+    WeightMatrix, entry by entry.  The array is read-only, since it is
+    kept for the next call with the same wm."""
+    global _last_dense
+    if _last_dense[0] is not wm:
+        m, gen, dphi = wm.m, wm.gen.tolist(), wm.grid.dphi.tolist()
+        w = np.array([[dphi[j] * gen[i - j + m - 1] for j in range(m)] for i in range(m)],
+                     dtype=float)
+        w.flags.writeable = False
+        _last_dense = (wm, w)
+    return _last_dense[1]
+
+
 def weights_mpmath(grid) -> list[list]:
     """The weights w[i][j] = phi'(s_j) * h * (1/2 + Si(pi (i - j))/pi) as
     40-digit mpmath numbers, from the grid's own h and phi'(s_j) (both
@@ -86,7 +106,7 @@ def gauss_seidel_sweep_rowdot(prob, wm, state, fvals=None):
     w per node, calling prob.rhs directly; same arguments, rhs calls and
     rhs cache as desinc.solver.gauss_seidel_sweep, whose rows it sums in
     another order."""
-    t, w = wm.grid.t, wm.w
+    t, w = wm.grid.t, dense_weights(wm)
     if fvals is None:
         fvals = np.array([prob.rhs(tk, x) for tk, x in zip(t, state)], dtype=float)
     for i in range(wm.m):

@@ -20,7 +20,7 @@ from desinc.solver import IterationTrace, IVProblem, solve
 from desinc.special import Interval
 from desinc.weights import WeightMatrix, build_weights, split
 
-from oracles import mgs_norm_dense, mgs_norm_rowloop, row_sum_norm
+from oracles import dense_weights, mgs_norm_dense, mgs_norm_rowloop, row_sum_norm
 
 
 def neumann_oracle(tsplit, L):
@@ -50,7 +50,7 @@ class TestMgsNormExact:
         gen = np.concatenate([np.full(m - 1, -0.1), [1.0], np.zeros(m - 1)])
         wm = WeightMatrix(grid=SimpleNamespace(m=m, dphi=np.ones(m)), gen=gen)
         assert mgs_norm_exact(wm, L=0.3) == pytest.approx(0.3 * 1.3, rel=1e-15)
-        assert mgs_norm_dense(wm.w, 0.3) == pytest.approx(0.3 * 1.3, rel=1e-15)
+        assert mgs_norm_dense(dense_weights(wm), 0.3) == pytest.approx(0.3 * 1.3, rel=1e-15)
 
     def test_matches_neumann_oracle_small(self):
         g = build_grid(Interval(0.0, 1.0), 3)
@@ -72,7 +72,7 @@ class TestMgsNormExact:
            L=st.floats(0.0, 1.5, exclude_min=True))
     def test_matches_dense_inverse(self, N, a, length, L):
         wm = build_weights(build_grid(Interval(a, a + length), N))
-        ref = mgs_norm_dense(wm.w, L)
+        ref = mgs_norm_dense(dense_weights(wm), L)
         assert mgs_norm_exact(wm, L) == pytest.approx(ref, rel=1e-12)
 
     @settings(max_examples=30, deadline=None)
@@ -218,6 +218,18 @@ class TestAnalyze:
         res = analyze(build_weights(g), L=2.0)
         assert res.mgs_bound is None
 
+    def test_bound_absent_when_w_exceeds_interval(self):
+        # h = 20 makes w = 8.56 against 1.1 * (b - a) = 0.55; the closed
+        # form then read 15.40 against an exact norm of 33.60
+        tp = example1()
+        g = build_grid(tp.problem.iv, 8, 20.0)
+        wm = build_weights(g)
+        res = analyze(wm, tp.problem.lip)
+        assert res.w > 1.1 * g.iv.length
+        assert mgs_bound(tp.problem.lip, g.iv, g.h, g.N) < res.mgs_norm
+        assert res.mgs_bound is None
+        assert check_assumptions(tp.problem, wm).cond_lbound_ok is False
+
     @settings(max_examples=60, deadline=None)
     @given(N=st.integers(2, 64),
            a=st.floats(-10.0, 10.0),
@@ -229,14 +241,15 @@ class TestAnalyze:
         wm = build_weights(build_grid(Interval(a, a + length), N))
         e_rows, df_rows = wm.abs_row_sums
         assert e_rows.max() == pytest.approx(row_sum_norm(split(wm).e), rel=1e-14)
-        assert df_rows.max() == pytest.approx(row_sum_norm(np.triu(wm.w)), rel=1e-14)
+        assert df_rows.max() == pytest.approx(row_sum_norm(np.triu(dense_weights(wm))), rel=1e-14)
 
-    def test_analysis_builds_no_dense_matrix(self):
+    def test_analysis_builds_no_dense_matrix(self, peak_bytes):
+        # the dense w would be 8 m^2 bytes
         tp = example1()
-        wm = build_weights(build_grid(tp.problem.iv, 64))
-        analyze(wm, tp.problem.lip)
-        check_assumptions(tp.problem, wm)
-        assert "w" not in wm.__dict__
+        wm = build_weights(build_grid(tp.problem.iv, 1024))
+        peak = peak_bytes(lambda: (analyze(wm, tp.problem.lip),
+                                   check_assumptions(tp.problem, wm)))
+        assert peak < 8 * wm.m**2 / 8
 
     def test_w_column_matches_check_assumptions(self):
         tp = example2(11)

@@ -11,8 +11,10 @@ import pytest
 
 import desinc
 from desinc import cli
-from desinc.cli import EXIT_BAD_CONFIG, EXIT_NOT_CONVERGED, EXIT_OK, main
+from desinc.cli import EXIT_BAD_CONFIG, EXIT_NOT_CONVERGED, EXIT_OK, RunConfig, main
 from desinc.problems import example1
+
+from oracles import dense_weights
 
 
 def read_csv(path):
@@ -147,6 +149,19 @@ class TestAnalyzeCommand:
         assert row["mgs_bound"] == ""
         assert row["cond_lbound_ok"] == "false"
 
+    def test_bound_column_empty_when_w_exceeds_interval(self, tmp_path):
+        # h = 20 makes w = 8.56 > 1.1 * (b - a) = 0.55; the column read
+        # 15.40 there, below the exact norm of 33.60
+        out = tmp_path / "h20.csv"
+        rc = main(["analyze", "--problem", "example1", "--n", "8", "--h", "20",
+                   "--out", str(out)])
+        assert rc == EXIT_OK
+        rows = read_csv(out)
+        row = dict(zip(rows[0], rows[1]))
+        assert float(row["mgs_norm"]) == pytest.approx(33.60, abs=0.01)
+        assert row["mgs_bound"] == ""
+        assert row["cond_lbound_ok"] == "false"
+
     def test_loads_no_further_scipy_subpackage(self, tmp_path):
         # importing the package and a first analyze load scipy.special only;
         # each further scipy subpackage adds to the start-up time.  The Toda
@@ -184,7 +199,30 @@ class TestDumpWeights:
         mat = np.array(rows, dtype=float)
         from desinc import Interval, build_grid, build_weights
         wm = build_weights(build_grid(Interval(0.0, 0.5), 4))
-        assert np.max(np.abs(mat - wm.w)) < 1e-16
+        assert np.array_equal(mat, dense_weights(wm))
+
+    # m = 129 and 513: several row blocks, the last one partial
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_bytes_match_dense_oracle(self, n, tmp_path):
+        out, ref = tmp_path / "w.csv", tmp_path / "ref.csv"
+        assert main(["dump-weights", "--problem", "example3", "--n", str(n),
+                     "--out", str(out)]) == EXIT_OK
+        from desinc import build_grid, build_weights
+        wm = build_weights(build_grid(desinc.problem_from_name("example3").problem.iv, n))
+        np.savetxt(ref, dense_weights(wm), fmt="%.17e", delimiter=",")
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_forms_no_dense_weights(self, peak_bytes, monkeypatch):
+        # formatting the 4.2 million values of N = 1024 under tracemalloc
+        # takes most of a minute, so savetxt only records the shape of each
+        # block it is handed; its own memory is one row of text at a time
+        shapes = []
+        monkeypatch.setattr(cli.np, "savetxt", lambda fh, a, **kw: shapes.append(a.shape))
+        cfg = RunConfig(n_list=[1024], output=os.devnull)
+        peak = peak_bytes(lambda: cli.cmd_dump_weights(cfg))
+        m = 2 * 1024 + 1
+        assert sum(rows for rows, _ in shapes) == m and {cols for _, cols in shapes} == {m}
+        assert peak < 8 * m**2 / 8
 
 
 # flag, config key, value in the file, value on the command line, and the

@@ -31,7 +31,7 @@ from desinc.grid import build_grid
 from desinc.problems import problem_from_name
 from desinc.weights import build_weights
 
-from oracles import mgs_norm_dense
+from oracles import dense_weights, mgs_norm_dense
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -97,7 +97,7 @@ def _check_analyze_row(problem: str, got: dict, want: dict) -> None:
             assert float(got[key]) == pytest.approx(float(want[key]), rel=1e-15, abs=0), key
     # an independent oracle, so that the golden file is not the only gate
     prob = problem_from_name(problem).problem
-    w = build_weights(build_grid(prob.iv, int(got["N"]))).w
+    w = dense_weights(build_weights(build_grid(prob.iv, int(got["N"]))))
     assert float(got["mgs_norm"]) == pytest.approx(mgs_norm_dense(w, prob.lip), rel=1e-12)
 
 

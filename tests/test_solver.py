@@ -24,7 +24,8 @@ from desinc.solver import (
 from desinc.special import Interval
 from desinc.weights import WeightMatrix, build_weights
 
-from oracles import gauss_seidel_row_naive, gauss_seidel_sweep_naive, gauss_seidel_sweep_rowdot
+from oracles import (dense_weights, gauss_seidel_row_naive, gauss_seidel_sweep_naive,
+                     gauss_seidel_sweep_rowdot)
 
 
 def zero_problem(n=2):
@@ -40,6 +41,14 @@ class TestIVProblem:
     @pytest.mark.parametrize("x_a", [np.ones((2, 2)), np.ones((1, 3))])
     def test_rejects_x_a_not_1d(self, x_a):
         with pytest.raises(ValueError, match="1-D"):
+            IVProblem(rhs=lv_rhs, x_a=x_a, iv=Interval(0.0, 1.0))
+
+    # an empty x_a failed inside solve with numpy's "zero-size array to
+    # reduction operation maximum", and [nan] ran one sweep and then raised
+    # NotConvergedError
+    @pytest.mark.parametrize("x_a", [np.array([]), [], [math.nan], [1.0, math.inf], -math.inf])
+    def test_rejects_x_a_empty_or_not_finite(self, x_a):
+        with pytest.raises(ValueError, match="x_a"):
             IVProblem(rhs=lv_rhs, x_a=x_a, iv=Interval(0.0, 1.0))
 
     # lip=-5, bound_m=-1 made check_assumptions report cond_lbound_ok, and
@@ -73,7 +82,7 @@ class TestJacobiSweep:
         cur = np.ones((g.m, 1))
         out = jacobi_sweep(tp.problem, wm, cur)
         # rhs = x = 1 at every node, so node i becomes 1 + sum_j w_ij
-        expected = 1.0 + wm.w.sum(axis=1)
+        expected = 1.0 + dense_weights(wm).sum(axis=1)
         assert np.allclose(out[:, 0], expected, rtol=1e-15)
 
     def test_fixed_point_satisfies_collocation_system(self):
@@ -111,7 +120,7 @@ class TestGaussSeidelSweep:
         wm = build_weights(g)
         state = np.tile(tp.problem.x_a, (g.m, 1))
         expected = gauss_seidel_sweep_naive(
-            tp.problem.x_a, wm.w, g.t, tp.problem.rhs, state.copy()
+            tp.problem.x_a, dense_weights(wm), g.t, tp.problem.rhs, state.copy()
         )
         out = gauss_seidel_sweep(tp.problem, wm, state.copy())
         assert np.max(np.abs(out - expected)) < 1e-15
@@ -143,7 +152,8 @@ class TestGaussSeidelSweep:
         # carried from row to row, which the quadratic lv field amplifies
         # (to 1.4e-13 relative at N=10, length 2, where the rows reach 1e34)
         # until the sweep overflows; overflowed rows must overflow in both.
-        expected = np.array([gauss_seidel_row_naive(prob.x_a, wm.w, g.t, rhs, out, before, i)
+        w = dense_weights(wm)
+        expected = np.array([gauss_seidel_row_naive(prob.x_a, w, g.t, rhs, out, before, i)
                              for i in range(g.m)])
         finite = np.isfinite(expected).all(axis=1)
         assert np.array_equal(np.isfinite(out).all(axis=1), finite)
@@ -181,7 +191,7 @@ class TestGaussSeidelSweep:
         state = state0.copy()
         fvals = np.array([tp.problem.rhs(t, state[k]) for k, t in enumerate(g.t)])
         for i in reversed(range(g.m)):
-            state[i] = tp.problem.x_a + wm.w[i] @ fvals
+            state[i] = tp.problem.x_a + dense_weights(wm)[i] @ fvals
             fvals[i] = tp.problem.rhs(g.t[i], state[i])
         assert np.max(np.abs(ascending - state)) > 1e-6
 
@@ -197,7 +207,7 @@ class TestGaussSeidelSweep:
             dphi = np.array([0.2, 0.25])
 
         wm = WeightMatrix(grid=FakeGrid(), gen=np.array([0.2, 1.0, 1.5]))
-        w = wm.w
+        w = dense_weights(wm)
         assert np.allclose(w, [[0.2, 0.05], [0.3, 0.25]], rtol=1e-15, atol=0)
         prob = IVProblem(rhs=lambda t, x: x, x_a=np.array([1.0]),
                          iv=Interval(0.0, 1.0))
@@ -385,12 +395,18 @@ class TestSolve:
         scale = np.maximum(1.0, np.abs(ref.x_nodes))
         assert np.max(np.abs(sol.x_nodes - ref.x_nodes) / scale) <= 1e-14
 
-    def test_jacobi_solve_forms_no_dense_weights(self):
-        tp = example3()
-        g = build_grid(tp.problem.iv, 64)
+    # the dense w is 8 m^2 bytes, and a Gauss-Seidel solve that formed it
+    # peaked above that; none of these may come near it
+    @pytest.mark.parametrize("run", ["jacobi", "gauss_seidel", "reference_solution"])
+    def test_forms_no_dense_weights(self, run, peak_bytes):
+        tp = example1()
+        g = build_grid(tp.problem.iv, 1024)
         wm = build_weights(g)
-        solve(tp.problem, g, method="jacobi", wm=wm)
-        assert "w" not in wm.__dict__
+        if run == "reference_solution":
+            peak = peak_bytes(lambda: reference_solution(tp.problem, g, wm=wm))
+        else:
+            peak = peak_bytes(lambda: solve(tp.problem, g, method=run, wm=wm))
+        assert peak < 8 * g.m**2 / 8
 
     @pytest.mark.parametrize("method", ["gauss_seidel", "jacobi"])
     def test_f_nodes_are_rhs_at_x_nodes(self, method):

@@ -10,7 +10,7 @@ from desinc.grid import build_grid
 from desinc.special import Interval, si
 from desinc.weights import WeightMatrix, build_weights, split
 
-from oracles import matmul_fsum, row_sum_norm, si_quadrature, weights_mpmath
+from oracles import dense_weights, matmul_fsum, row_sum_norm, si_quadrature, weights_mpmath
 
 
 def eq35_bound(iv, h, N):
@@ -21,23 +21,23 @@ class TestBuildWeights:
     def test_diagonal_entries(self):
         g = build_grid(Interval(0.0, 1.0), 6)
         wm = build_weights(g)
-        assert np.allclose(np.diag(wm.w), g.dphi * g.h / 2, rtol=1e-15)
+        assert np.allclose(np.diag(dense_weights(wm)), g.dphi * g.h / 2, rtol=1e-15)
 
     def test_entry_against_quadrature_oracle(self):
         g = build_grid(Interval(0.0, 1.0), 4)
         wm = build_weights(g)
         expected = g.dphi[0] * g.h * (0.5 + si_quadrature(2 * math.pi) / math.pi)
-        assert wm.w[2, 0] == pytest.approx(expected, rel=1e-13)
+        assert dense_weights(wm)[2, 0] == pytest.approx(expected, rel=1e-13)
 
     def test_lower_triangle_nonnegative(self):
         g = build_grid(Interval(0.0, 0.5), 8)
         wm = build_weights(g)
-        assert np.all(np.tril(wm.w, k=-1) >= 0.0)
+        assert np.all(np.tril(dense_weights(wm), k=-1) >= 0.0)
 
     def test_small_e_norm_bound(self):
         g = build_grid(Interval(0.0, 0.5), 4)
         wm = build_weights(g)
-        e = np.tril(wm.w, k=-1)
+        e = np.tril(dense_weights(wm), k=-1)
         assert row_sum_norm(e) <= 1.1 * 0.5
 
     @pytest.mark.parametrize("N", [2, 4, 8, 16, 32, 64, 128, 256])
@@ -50,7 +50,7 @@ class TestBuildWeights:
         df_norm = row_sum_norm(np.diag(ts.d) + ts.f)
         assert e_norm <= 1.1 * iv.length
         assert df_norm <= eq35_bound(iv, g.h, N)
-        assert row_sum_norm(wm.w) <= e_norm + df_norm + 1e-15
+        assert row_sum_norm(dense_weights(wm)) <= e_norm + df_norm + 1e-15
 
     @settings(max_examples=30, deadline=None)
     @given(N=st.integers(2, 40),
@@ -58,13 +58,13 @@ class TestBuildWeights:
            length=st.floats(0.01, 10.0))
     def test_toeplitz_assembly_matches_double_loop(self, N, a, length):
         g = build_grid(Interval(a, a + length), N)
-        w = build_weights(g).w
+        wm = build_weights(g)
         loop = np.empty((g.m, g.m))
         for i in range(g.m):
             for j in range(g.m):
                 loop[i, j] = g.dphi[j] * (g.h * (0.5 + si(math.pi * (i - j)) / math.pi))
-        assert np.array_equal(w, loop)
-        assert w.flags.c_contiguous
+        assert np.array_equal(dense_weights(wm), loop)
+        assert np.array_equal(g.dphi * wm.p_rows(0, g.m), loop)
 
     @pytest.mark.parametrize("N", [2, 4, 8, 16, 32])
     @pytest.mark.parametrize("iv", [Interval(0.0, 0.5), Interval(0.0, 1.0), Interval(-1.0, 2.0)])
@@ -73,7 +73,7 @@ class TestBuildWeights:
         # so its error is measured in eps * h * phi'(s_j); a few roundings
         # give at most 2 of those (1.53 is the worst seen on these grids)
         g = build_grid(iv, N)
-        w = build_weights(g).w
+        w = dense_weights(build_weights(g))
         ref = weights_mpmath(g)
         eps = np.finfo(float).eps
         with mpmath.workdps(40):
@@ -85,7 +85,17 @@ class TestBuildWeights:
     def test_no_nan_at_large_n(self):
         g = build_grid(Interval(0.0, 1.0), 512)
         wm = build_weights(g)
-        assert np.all(np.isfinite(wm.w))
+        assert np.all(np.isfinite(dense_weights(wm)))
+
+    # m = 65: blocks of all rows, inside, at the edges and past the end
+    @pytest.mark.parametrize("i0, i1", [(0, 65), (0, 32), (32, 64), (64, 96), (40, 41),
+                                        (60, 70)])
+    def test_p_rows_are_rows_of_w(self, i0, i1):
+        g = build_grid(Interval(-1.0, 2.0), 32)
+        wm = build_weights(g)
+        rows = wm.p_rows(i0, i1)
+        assert np.shares_memory(rows, wm.gen) and not rows.flags.writeable
+        assert np.array_equal(g.dphi * rows, dense_weights(wm)[i0:i1])
 
     @pytest.mark.parametrize("shape", [(3,), (8,), (10,), (11,), (9, 1)])
     def test_rejects_generator_of_wrong_shape(self, shape):
@@ -117,10 +127,11 @@ class TestMatmul:
         g = build_grid(iv, N)
         wm = build_weights(g)
         f = np.random.default_rng(seed).normal(size=(g.m, n))
-        ref = matmul_fsum(wm.w, f)
-        bound = 4 * np.finfo(float).eps * np.max(np.abs(wm.w) @ np.abs(f), axis=0)
+        w = dense_weights(wm)
+        ref = matmul_fsum(w, f)
+        bound = 4 * np.finfo(float).eps * np.max(np.abs(w) @ np.abs(f), axis=0)
         assert np.all(np.abs(wm.matmul(f) - ref) <= bound)
-        assert np.all(np.abs(wm.w @ f - ref) <= bound)
+        assert np.all(np.abs(w @ f - ref) <= bound)
 
 
 class TestAbsRowSums:
@@ -146,7 +157,7 @@ class TestSplit:
         g = build_grid(Interval(0.0, 1.0), 5)
         wm = build_weights(g)
         ts = split(wm)
-        assert np.array_equal(np.diag(ts.d) + ts.e + ts.f, wm.w)
+        assert np.array_equal(np.diag(ts.d) + ts.e + ts.f, dense_weights(wm))
 
     def test_triangle_structure(self):
         g = build_grid(Interval(0.0, 1.0), 3)
