@@ -200,8 +200,8 @@ def gauss_seidel_sweep(
     w = P diag(dphi) is read from its Toeplitz factor (WeightMatrix.p_rows)
     in blocks of _BLOCK rows, so no m x m array is formed.  The sweep keeps
     g = dphi * fvals.  At the start of a block its rows of P are copied out
-    once, and a matrix product with g sums each row over the columns
-    outside the block.  Each node then adds a dot product of fvals over the
+    once, and matrix products with g sum each row over the columns left
+    and right of the block.  Each node then adds a dot product of fvals over the
     block's own columns, with the weights dphi[j] * P[i, j].  So every row
     is summed in another order than by one m-long dot product of the dense
     w, and node values differ from that by ulps.

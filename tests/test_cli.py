@@ -207,8 +207,8 @@ class TestDumpWeights:
         out, ref = tmp_path / "w.csv", tmp_path / "ref.csv"
         assert main(["dump-weights", "--problem", "example3", "--n", str(n),
                      "--out", str(out)]) == EXIT_OK
-        from desinc import build_grid, build_weights
-        wm = build_weights(build_grid(desinc.problem_from_name("example3").problem.iv, n))
+        iv = desinc.problem_from_name("example3").problem.iv
+        wm = desinc.build_weights(desinc.build_grid(iv, n))
         np.savetxt(ref, dense_weights(wm), fmt="%.17e", delimiter=",")
         assert out.read_bytes() == ref.read_bytes()
 
