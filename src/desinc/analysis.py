@@ -2,11 +2,11 @@
 norm of the comparison matrix (I - L|E|)^{-1} L(|D|+|F|), its closed-form
 upper bound, and checks of the sufficient conditions for convergence.
 
-No m x m matrix is formed.  |w_ij| = |p_{i-j}| * phi'_j with the 4N+1
-generator values p_k of WeightMatrix, so every row sum of |E| or |D|+|F|
-is one entry of an FFT convolution of |p| with phi', and the comparison
-norm is one blocked forward substitution on the generator: O(m) memory,
-O(m log^2 m) work.
+No m x m matrix is formed.  |w_ij| = |p_{i-j}| * phi'_j with p_k the
+entries of the Toeplitz factor P of WeightMatrix, so every row sum of |E|
+or |D|+|F| is one entry of an FFT convolution of |p| with phi', and the
+comparison norm is one blocked forward substitution on column 0 of P:
+O(m) memory, O(m log^2 m) work.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def mgs_norm_exact(wm: WeightMatrix, L: float) -> float:
     """
     check_positive_finite("L", L)
     m, dphi = wm.m, wm.grid.dphi
-    a = np.abs(wm.gen[m - 1:])  # a[k] = |p_k|, k = 0..m-1
+    a = np.abs(wm.p_rows(0, m)[:, 0])  # a[k] = |p_k|, k = 0..m-1
     nb = min(m, _LEAF)
     with np.errstate(over="ignore", invalid="ignore"):
         k = np.arange(nb)
@@ -104,7 +104,7 @@ def mgs_norm_exact(wm: WeightMatrix, L: float) -> float:
             mid = lo + _LEAF * ((n + 2 * _LEAF - 1) // (2 * _LEAF))
             solve(lo, mid)
             # row i >= mid gains sum_{lo<=j<mid} |p_{i-j}| g_j
-            y[mid:hi] += _fft_convolve(g[lo:mid], a[1:n])[mid - lo - 1:n - 1]
+            y[mid:hi] += _fft_convolve(g[lo:mid], a[1:n], mid - lo - 1, n - 1)
             solve(mid, hi)
 
         solve(0, m)
@@ -179,13 +179,16 @@ def convergence_factor_observed(trace: IterationTrace) -> float:
 
     Ratios are dropped once the difference norm falls below
     _ROUNDOFF_FLOOR * machine epsilon * (initial norm): past that point the
-    iterates only move by roundoff and the ratios are meaningless.
+    iterates only move by roundoff and the ratios are meaningless.  A norm
+    of exactly 0, a sweep that changed nothing, is below that floor.
     """
     z = trace.z_norms
     if len(z) < 3:
         raise ValueError("need at least 3 difference norms to estimate a factor")
-    for k, v in enumerate(z):
-        check_positive_finite(f"z_norms[{k}]", v)
+    check_positive_finite("z_norms[0]", z[0])
+    for k, v in enumerate(z[1:], 1):
+        if not 0.0 <= v < math.inf:
+            raise ValueError(f"z_norms[{k}] must be nonnegative and finite, got {v}")
     floor = _ROUNDOFF_FLOOR * np.finfo(float).eps * z[0]
     ratios = [z[k + 1] / z[k] for k in range(len(z) - 1)
               if z[k] > floor and z[k + 1] > floor]

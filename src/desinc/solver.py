@@ -201,10 +201,10 @@ def gauss_seidel_sweep(
     in blocks of _BLOCK rows, so no m x m array is formed.  The sweep keeps
     g = dphi * fvals.  At the start of a block its rows of P are copied out
     once, and matrix products with g sum each row over the columns left
-    and right of the block.  Each node then adds a dot product of fvals over the
-    block's own columns, with the weights dphi[j] * P[i, j].  So every row
-    is summed in another order than by one m-long dot product of the dense
-    w, and node values differ from that by ulps.
+    and right of the block.  Each node then adds a dot product of fvals
+    over the block's own columns, with weights dphi[j] * P[i, j] from the
+    copied rows.  So every row is summed in another order than by one
+    m-long dot product of the dense w, and node values differ by ulps.
     """
     grid = wm.grid
     _check_sweep_arrays(prob, grid, state, fvals)
@@ -214,20 +214,14 @@ def gauss_seidel_sweep(
     # the rows before the current block hold this sweep's values, the rows
     # from it on last sweep's
     g = dphi[:, None] * fvals
-    # P is Toeplitz, so its leading block is every block's own block
-    p_diag = wm.p_rows(0, _BLOCK)[:, :_BLOCK]
-    p_buf = np.empty((p_diag.shape[0], m))
+    p_buf = np.empty((min(_BLOCK, m), m))
     for i0 in range(0, m, _BLOCK):
         i1 = min(i0 + _BLOCK, m)
         p_block = p_buf[:i1 - i0]
         p_block[...] = wm.p_rows(i0, i1)
-        # the first and last blocks skip their empty product
-        acc = np.full((i1 - i0, x_a.size), x_a)
-        if i0 > 0:
-            acc += p_block[:, :i0] @ g[:i0]
-        if i1 < m:
-            acc += p_block[:, i1:] @ g[i1:]
-        w_block = dphi[i0:i1] * p_diag[:i1 - i0, :i1 - i0]
+        # an empty product (first and last block) is zero
+        acc = x_a + p_block[:, :i0] @ g[:i0] + p_block[:, i1:] @ g[i1:]
+        w_block = dphi[i0:i1] * p_block[:, i0:i1]
         # a view: its rows before i already hold this sweep's values
         f_block = fvals[i0:i1]
         for i, acc_i, w_i in zip(range(i0, i1), acc, w_block):

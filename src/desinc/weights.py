@@ -1,12 +1,12 @@
 """Collocation weights w_ij = phi'(s_j) * J(j,h)(s_i), held as the 4N+1
 values that generate their Toeplitz factor.
 
-The generator is the only form of the weights that is kept.  The product
-w @ f (the Jacobi sweep) is a linear convolution of the generator with
-phi' * f, done by FFT.  The Gauss-Seidel sweep and the dump-weights
-command read the Toeplitz factor a block of rows at a time, as a view of
-the generator, so neither forms the m x m w.  Only split, the dense
-diagonal / strictly-lower / strictly-upper partition, does.
+The generator is the only form of the weights that is kept, and only this
+module reads it.  Every FFT sum against it goes through _fft_convolve:
+w @ f (the Jacobi sweep), the row sums of |w| and the merges of
+analysis.mgs_norm_exact.  Everything else reads rows of the Toeplitz
+factor through WeightMatrix.p_rows, a view of the generator; only split,
+the dense diagonal / strictly-lower / strictly-upper partition, forms w.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ class WeightMatrix:
     w[i, j] = dphi[j] * p_{i-j} with p_k = h * (1/2 + Si(pi k)/pi), i.e.
     w = P diag(dphi) with P Toeplitz.  Only the generator gen, with
     gen[k + m - 1] = p_k for k = -(m-1)..m-1, is stored; p_rows reads rows
-    of P from it.  matmul applies w through the generator's spectrum,
-    which is computed once and kept, and so are the row sums of |w|.
+    of P from it.  matmul convolves the generator with dphi * f by FFT on
+    every call; only the row sums of |w| are computed once and kept.
 
     matmul is accurate normwise: the error in column c of w @ f is a few
     eps times max_i (|w| |f|)_ic, so a row whose own (|w| |f|)_ic is much
@@ -58,22 +58,18 @@ class WeightMatrix:
 
     def p_rows(self, i0: int, i1: int) -> np.ndarray:
         """Rows i0..i1-1 of P (clipped to m), as a read-only view of the
-        generator.  Rows of w are dphi[None, :] * p_rows(i0, i1)."""
+        generator; 0 <= i0 <= i1 is required.  Rows of w are
+        dphi[None, :] * p_rows(i0, i1), and column 0 of P holds p_0..p_{m-1}."""
+        if not 0 <= i0 <= i1:
+            raise ValueError(f"rows {i0}..{i1} need 0 <= i0 <= i1")
         return self._p[i0:i1]
 
-    @cached_property
-    def _spectrum(self) -> tuple[int, np.ndarray]:
-        nfft = _fft_length(2 * self.m - 1)
-        return nfft, np.fft.rfft(self.gen, nfft)
-
     def matmul(self, f: np.ndarray) -> np.ndarray:
-        """w @ f for f of shape (m, n), as P @ (dphi * f) without forming w."""
+        """w @ f for f of shape (m, n), as P @ (dphi * f) without forming w:
+        row i of P @ g is entry i + m - 1 of the linear convolution of gen
+        with g."""
         m = self.m
-        nfft, spec = self._spectrum
-        g = np.fft.rfft(self.grid.dphi[:, None] * f, nfft, axis=0)
-        # row i of P @ g is entry i + m - 1 of the linear convolution of gen
-        # with g; nfft >= 2m - 1 keeps those entries free of wrap-around
-        return np.fft.irfft(spec[:, None] * g, nfft, axis=0)[m - 1:2 * m - 1]
+        return _fft_convolve(self.gen, self.grid.dphi[:, None] * f, m - 1, 2 * m - 1)
 
     @cached_property
     def abs_row_sums(self) -> tuple[np.ndarray, np.ndarray]:
@@ -87,20 +83,26 @@ class WeightMatrix:
         p = np.abs(self.gen)  # p[k + m - 1] = |p_k|; dphi is nonnegative
         e_rows = np.zeros(m)
         # sum_j |p_{i-j}| dphi_j over i - j = 1..m-1, and over i - j = -(m-1)..0
-        e_rows[1:] = _fft_convolve(p[m:], dphi)[:m - 1]
-        df_rows = _fft_convolve(p[:m], dphi)[m - 1:]
+        e_rows[1:] = _fft_convolve(p[m:], dphi, 0, m - 1)
+        df_rows = _fft_convolve(p[:m], dphi, m - 1, 2 * m - 1)
         return e_rows, df_rows
 
 
-def _fft_convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The linear convolution of x and y, by FFT on a 5-smooth length.
+def _fft_convolve(x: np.ndarray, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Entries lo..hi-1 of the linear convolution of x with y, along axis 0
+    of a 1-D or 2-D y, by FFT on a 5-smooth length.
+
+    The window is free of wrap-around once nfft >= len(x) + len(y) - 1 - lo,
+    so one that starts late takes a shorter FFT than the whole convolution.
 
     Accurate normwise: every entry is off by about eps times log2 of the
-    length times ||x||_2 ||y||_2, so an entry far below the largest one has
-    only that absolute accuracy."""
-    n = len(x) + len(y) - 1
-    nfft = _fft_length(n)
-    return np.fft.irfft(np.fft.rfft(x, nfft) * np.fft.rfft(y, nfft), nfft)[:n]
+    length times ||x||_2 ||y||_2 (per column of y), so an entry far below
+    the largest one has only that absolute accuracy."""
+    nfft = _fft_length(max(hi, len(x) + len(y) - 1 - lo))
+    fx = np.fft.rfft(x, nfft)
+    if y.ndim == 2:
+        fx = fx[:, None]
+    return np.fft.irfft(fx * np.fft.rfft(y, nfft, axis=0), nfft, axis=0)[lo:hi]
 
 
 def _fft_length(n: int) -> int:

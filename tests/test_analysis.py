@@ -196,6 +196,22 @@ class TestConvergenceFactorObserved:
         factor = convergence_factor_observed(trace)
         assert factor == pytest.approx(1e-2, rel=1e-6)
 
+    def test_exact_zero_is_below_roundoff_floor(self):
+        # from sweep 14 on the Gauss-Seidel iterates repeat exactly, so the
+        # difference norm is 0; that raised "must be positive and finite"
+        tp = example1()
+        _, trace = solve(tp.problem, build_grid(tp.problem.iv, 8), tol=0.0, max_sweeps=30)
+        z = trace.z_norms
+        assert z[13] == 0.0 and z[12] > 0.0
+        factor = convergence_factor_observed(trace)
+        assert factor == convergence_factor_observed(IterationTrace(z_norms=z[:13]))
+        assert factor == pytest.approx(0.0423, abs=5e-5)
+
+    @pytest.mark.parametrize("v", [-1.0, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_later_norm(self, v):
+        with pytest.raises(ValueError, match=r"z_norms\[2\] must be nonnegative and finite"):
+            convergence_factor_observed(IterationTrace(z_norms=[1.0, 0.1, v, 1e-3]))
+
     def test_rejects_short_or_zero(self):
         with pytest.raises(ValueError):
             convergence_factor_observed(IterationTrace(z_norms=[1.0, 0.1]))
@@ -274,17 +290,17 @@ class TestAnalyze:
 
 
 @st.composite
-def linear_problems(draw):
+def linear_problems(draw, multipliers=(0.25, 0.5, 1.0, 2.0, 4.0)):
     """A random x' = A x with L = ||A||_inf and L(b - a) in (0, 0.9], so
     that 1.1 L (b - a) < 1 holds with room for rounding, on a shifted
-    interval, with its grid.  N n is capped at 512 to keep the sweeps
-    cheap."""
+    interval, with its grid, whose h is log(N)/N times one of multipliers.
+    N n is capped at 512 to keep the sweeps cheap."""
     n = draw(st.integers(1, 5))
     N = draw(st.integers(4, min(256, 512 // n)))
     a = draw(st.floats(-10.0, 10.0))
     iv = Interval(a, a + draw(st.floats(0.05, 2.0)))
     lba = draw(st.floats(1e-6, 0.9))
-    h = math.log(N) / N * draw(st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]))
+    h = math.log(N) / N * draw(st.sampled_from(multipliers))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     A = rng.normal(size=(n, n))
     A *= lba / (np.abs(A).sum(axis=1).max() * iv.length)
@@ -318,6 +334,18 @@ class TestConvergenceTheorem:
             assert err[k] <= q * err[k - 1]
             if q < 1.0:
                 assert err[k] <= q / (1.0 - q) * trace.z_norms[k - 1]
+
+    # h up to 256 log(N)/N: at N = 16 the multiplier 64 gives w = 9.49 on
+    # [0, 1], past the 1.1 (b - a) that the bound needs
+    @settings(max_examples=40, deadline=None)
+    @given(case=linear_problems(multipliers=(0.25, 1.0, 4.0, 16.0, 64.0, 256.0)))
+    def test_bound_present_exactly_where_it_dominates(self, case):
+        prob, g = case
+        res = analyze(build_weights(g), prob.lip)
+        fails = res.w > 1.1 * g.iv.length or 1.1 * (prob.lip * g.iv.length) >= 1.0
+        assert (res.mgs_bound is None) == fails
+        if not fails:
+            assert res.mgs_bound >= res.mgs_norm
 
 
 @st.composite

@@ -96,7 +96,7 @@ POSITIVE_FINITE = [
     ("mgs_bound", "h", lambda v: mgs_bound(1.0, IV, v, 4)),
     ("j_kernel", "h", lambda v: j_kernel(0, v, 0.0)),
     ("convergence_factor_observed", "z_norms",
-     lambda v: convergence_factor_observed(IterationTrace(z_norms=[1.0, 0.1, v, 1e-3]))),
+     lambda v: convergence_factor_observed(IterationTrace(z_norms=[v, 0.1, 0.01, 1e-3]))),
     ("RunConfig.validate", "tol", lambda v: RunConfig(tol=v).validate()),
     ("RunConfig.validate", "h", lambda v: RunConfig(h_override=v).validate()),
 ]

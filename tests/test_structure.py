@@ -1,0 +1,39 @@
+"""Layout ownership: the Toeplitz generator WeightMatrix.gen has one
+reader, weights.py, and np.fft one caller, weights._fft_convolve.  Every
+other module goes through WeightMatrix.p_rows, matmul or abs_row_sums, so
+the generator's layout is spelled out in one place."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "desinc"
+
+
+def _uses(pred):
+    """(file, enclosing function) for every attribute node that pred
+    accepts, over the package's modules."""
+    found = set()
+
+    def walk(node, fn, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, child.name, path)
+            else:
+                if isinstance(child, ast.Attribute) and pred(child):
+                    found.add((path.name, fn))
+                walk(child, fn, path)
+
+    for path in sorted(SRC.glob("*.py")):
+        walk(ast.parse(path.read_text(encoding="utf-8")), None, path)
+    return found
+
+
+def test_only_weights_reads_the_generator():
+    readers = _uses(lambda a: a.attr == "gen" and isinstance(a.ctx, ast.Load))
+    assert readers and {path for path, _ in readers} == {"weights.py"}
+
+
+def test_only_fft_convolve_calls_numpy_fft():
+    callers = _uses(lambda a: a.attr == "fft" and isinstance(a.value, ast.Name)
+                    and a.value.id == "np")
+    assert callers == {("weights.py", "_fft_convolve")}

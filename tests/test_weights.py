@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from desinc import weights
 from desinc.grid import build_grid
 from desinc.special import Interval, si
 from desinc.weights import WeightMatrix, build_weights, split
@@ -97,6 +98,13 @@ class TestBuildWeights:
         assert np.shares_memory(rows, wm.gen) and not rows.flags.writeable
         assert np.array_equal(g.dphi * rows, dense_weights(wm)[i0:i1])
 
+    # at N = 4 (m = 9), p_rows(-2, 9) returned rows 7..8 without an error
+    @pytest.mark.parametrize("i0, i1", [(-2, 9), (-1, 0), (5, 4)])
+    def test_p_rows_rejects_bad_range(self, i0, i1):
+        wm = build_weights(build_grid(Interval(0.0, 1.0), 4))
+        with pytest.raises(ValueError, match="0 <= i0 <= i1"):
+            wm.p_rows(i0, i1)
+
     @pytest.mark.parametrize("shape", [(3,), (8,), (10,), (11,), (9, 1)])
     def test_rejects_generator_of_wrong_shape(self, shape):
         # at N = 2 (m = 5) the generator holds 2m - 1 = 9 values; an
@@ -132,6 +140,35 @@ class TestMatmul:
         bound = 4 * np.finfo(float).eps * np.max(np.abs(w) @ np.abs(f), axis=0)
         assert np.all(np.abs(wm.matmul(f) - ref) <= bound)
         assert np.all(np.abs(w @ f - ref) <= bound)
+
+
+class TestFftConvolve:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("ncol", [None, 1, 3])
+    def test_windows_match_direct_convolution(self, seed, ncol, monkeypatch):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=rng.integers(2, 300))
+        y = rng.normal(size=(rng.integers(2, 300),) + ((ncol,) if ncol else ()))
+        n = len(x) + len(y) - 1
+        late = int(rng.integers(1, (n - 1) // 2 + 1))
+        # from the start, the whole convolution, and a late window whose
+        # wrap-free length n - late is below n, like a merge of mgs_norm_exact
+        windows = [(0, int(rng.integers(1, n + 1))), (0, n), (late, n - late)]
+        lengths = []
+        length = weights._fft_length
+        monkeypatch.setattr(weights, "_fft_length",
+                            lambda k: lengths.append(length(k)) or lengths[-1])
+        ys = [y[:, c] for c in range(ncol)] if ncol else [y]
+        for lo, hi in windows:
+            got = weights._fft_convolve(x, y, lo, hi)
+            assert got.shape == (hi - lo,) + y.shape[1:]
+            assert lengths[-1] >= max(hi, n - lo)
+            for c, yc in enumerate(ys):
+                ref = np.convolve(x, yc)[lo:hi]
+                tol = (4 * np.finfo(float).eps * math.log2(lengths[-1])
+                       * np.linalg.norm(x) * np.linalg.norm(yc))
+                assert np.max(np.abs((got[:, c] if ncol else got) - ref)) <= tol
+        assert len(lengths) == len(windows)
 
 
 class TestAbsRowSums:
