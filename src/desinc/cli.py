@@ -115,10 +115,9 @@ def cmd_trace(cfg: RunConfig) -> int:
     tp = problem_from_name(cfg.problem)
     n = cfg.n_list[0]
     grid = build_grid(tp.problem.iv, n, cfg.h_override)
-    wm = build_weights(grid)
-    ref = reference_solution(tp.problem, grid, wm=wm)
+    ref = reference_solution(tp.problem, grid)
     _, trace = solve(tp.problem, grid, method=cfg.method, tol=0.0,
-                     max_sweeps=cfg.max_sweeps, store_iterates=True, wm=wm)
+                     max_sweeps=cfg.max_sweeps, store_iterates=True)
     with _open_out(cfg.output) as fh:
         _write_row(fh, ["nu", "E2", "z_norm"])
         for nu, (it, z) in enumerate(zip(trace.iterates, trace.z_norms), start=1):

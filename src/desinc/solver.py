@@ -240,7 +240,6 @@ def solve(
     tol: float = DEFAULT_TOL,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
     store_iterates: bool = False,
-    wm: WeightMatrix | None = None,
 ) -> tuple[SincSolution, IterationTrace]:
     """Iterate the chosen sweep from the constant initial guess x_a until
     the sweep-difference norm drops below tol.
@@ -249,8 +248,8 @@ def solve(
     performed and the result is returned unconverged without raising.
     With tol > 0, failure to converge raises NotConvergedError carrying
     the solution and trace; the iteration stops at the first sweep whose
-    difference norm is NaN or inf.  grid must be on prob.iv, and a given
-    wm built on a grid with the interval, N and h of grid.
+    difference norm is NaN or inf.  grid must be on prob.iv; the weights
+    are built from it, as their 4N+1 Toeplitz generator.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -259,10 +258,7 @@ def solve(
     check_count("max_sweeps", max_sweeps, 1)
     if grid.iv != prob.iv:
         raise ValueError(f"grid on {grid.iv} but problem on {prob.iv}")
-    if wm is None:
-        wm = build_weights(grid)
-    elif (wm.grid.iv, wm.grid.N, wm.grid.h) != (grid.iv, grid.N, grid.h):
-        raise ValueError("wm was built on a different grid: interval, N or h differ")
+    wm = build_weights(grid)
 
     state = np.tile(prob.x_a, (grid.m, 1))
     trace = IterationTrace(iterates=[] if store_iterates else None)
@@ -298,12 +294,10 @@ def solve(
     return sol, trace
 
 
-def reference_solution(
-    prob: IVProblem, grid: DEGrid, wm: WeightMatrix | None = None
-) -> SincSolution:
-    """Reference node values: exactly 10 Gauss-Seidel sweeps, no
-    convergence check."""
-    sol, _ = solve(prob, grid, method="gauss_seidel", tol=0.0, max_sweeps=10, wm=wm)
+def reference_solution(prob: IVProblem, grid: DEGrid) -> SincSolution:
+    """Reference node values: exactly 10 Gauss-Seidel sweeps from solve,
+    which builds the weights of grid, with no convergence check."""
+    sol, _ = solve(prob, grid, method="gauss_seidel", tol=0.0, max_sweeps=10)
     return sol
 
 

@@ -77,7 +77,7 @@ def test_criterion_5_gauss_seidel_speed():
     tp = example1()
     g = build_grid(tp.problem.iv, 64)
     wm = build_weights(g)
-    _, trace = solve(tp.problem, g, tol=1e-15, wm=wm)
+    _, trace = solve(tp.problem, g, tol=1e-15)
     factor = convergence_factor_observed(trace)
     norm = mgs_norm_exact(wm, tp.problem.lip)
     ok = factor <= 0.05 and factor <= norm
@@ -101,9 +101,8 @@ def test_criterion_6_dimension_independence():
 def test_criterion_7_gs_beats_jacobi():
     tp = example1()
     g = build_grid(tp.problem.iv, 64)
-    wm = build_weights(g)
-    _, gs = solve(tp.problem, g, method="gauss_seidel", tol=1e-14, wm=wm)
-    _, jac = solve(tp.problem, g, method="jacobi", tol=1e-14, max_sweeps=500, wm=wm)
+    _, gs = solve(tp.problem, g, method="gauss_seidel", tol=1e-14)
+    _, jac = solve(tp.problem, g, method="jacobi", tol=1e-14, max_sweeps=500)
     n_gs, n_jac = len(gs.z_norms), len(jac.z_norms)
     report(7, 2 * n_gs <= n_jac, f"GS sweeps = {n_gs}, Jacobi sweeps = {n_jac}")
 

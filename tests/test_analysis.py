@@ -186,7 +186,7 @@ class TestConvergenceFactorObserved:
         tp = example1()
         g = build_grid(tp.problem.iv, 64)
         wm = build_weights(g)
-        _, trace = solve(tp.problem, g, tol=1e-15, wm=wm)
+        _, trace = solve(tp.problem, g, tol=1e-15)
         factor = convergence_factor_observed(trace)
         assert factor <= mgs_norm_exact(wm, tp.problem.lip)
         assert 0.005 <= factor <= 0.05
@@ -322,7 +322,7 @@ class TestConvergenceTheorem:
         q = mgs_norm_exact(wm, prob.lip)
         assert mgs_bound(prob.lip, g.iv, g.h, g.N) >= q
         # 40 sweeps reach the fixed point to roundoff for every q here
-        sol, trace = solve(prob, g, tol=0.0, max_sweeps=40, store_iterates=True, wm=wm)
+        sol, trace = solve(prob, g, tol=0.0, max_sweeps=40, store_iterates=True)
         fixed = sol.x_nodes
         iterates = [np.tile(prob.x_a, (g.m, 1))] + trace.iterates
         err = [float(np.max(np.abs(x - fixed))) for x in iterates]

@@ -73,6 +73,10 @@ def test_traced_calls_satisfy_consistency(tmp_path):
         tracer.uninstall()
     counters = tracer.counters()
     assert bench_run.consistency(counters, reported) == []
+    # every solve builds its own weights: one per solve command, two for
+    # trace (its reference and its traced solve), one for analyze and one
+    # for the direct solve
+    assert counters["build_weights_n"] == [8] * 6
     # the equalities hold trivially on spans that were never recorded
     for span in ("problems.rhs", "special.si", "special.j_kernel", "solver.solve",
                  "solver.gauss_seidel_sweep", "solver.jacobi_sweep", "analysis.analyze"):

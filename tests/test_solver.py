@@ -89,7 +89,7 @@ class TestJacobiSweep:
         tp = example1()
         g = build_grid(tp.problem.iv, 16)
         wm = build_weights(g)
-        sol, _ = solve(tp.problem, g, tol=1e-15, wm=wm)
+        sol, _ = solve(tp.problem, g, tol=1e-15)
         after = jacobi_sweep(tp.problem, wm, sol.x_nodes)
         assert np.max(np.abs(after - sol.x_nodes)) < 1e-14
 
@@ -315,7 +315,7 @@ class TestSolve:
         g = build_grid(tp.problem.iv, 32)
         wm = build_weights(g)
         rate = mgs_norm_exact(wm, tp.problem.lip)
-        _, trace = solve(tp.problem, g, tol=1e-13, wm=wm)
+        _, trace = solve(tp.problem, g, tol=1e-13)
         z = trace.z_norms
         for a, b in zip(z[1:], z[2:]):
             assert b <= rate * a + 1e-16
@@ -387,10 +387,9 @@ class TestSolve:
     def test_blocked_solve_matches_rowdot_solve(self, N, spec, monkeypatch):
         prob = problem_from_name(spec).problem
         g = build_grid(prob.iv, N)
-        wm = build_weights(g)
-        sol, trace = solve(prob, g, wm=wm)
+        sol, trace = solve(prob, g)
         monkeypatch.setattr(solver, "gauss_seidel_sweep", gauss_seidel_sweep_rowdot)
-        ref, ref_trace = solve(prob, g, wm=wm)
+        ref, ref_trace = solve(prob, g)
         assert len(trace.z_norms) == len(ref_trace.z_norms)
         scale = np.maximum(1.0, np.abs(ref.x_nodes))
         assert np.max(np.abs(sol.x_nodes - ref.x_nodes) / scale) <= 1e-14
@@ -401,11 +400,10 @@ class TestSolve:
     def test_forms_no_dense_weights(self, run, peak_bytes):
         tp = example1()
         g = build_grid(tp.problem.iv, 1024)
-        wm = build_weights(g)
         if run == "reference_solution":
-            peak = peak_bytes(lambda: reference_solution(tp.problem, g, wm=wm))
+            peak = peak_bytes(lambda: reference_solution(tp.problem, g))
         else:
-            peak = peak_bytes(lambda: solve(tp.problem, g, method=run, wm=wm))
+            peak = peak_bytes(lambda: solve(tp.problem, g, method=run))
         assert peak < 8 * g.m**2 / 8
 
     @pytest.mark.parametrize("method", ["gauss_seidel", "jacobi"])
@@ -428,7 +426,7 @@ class TestSolve:
         wm = build_weights(g)
         with pytest.raises(RhsEvaluationError) as err:
             if stage == "initial":
-                solve(prob, g, wm=wm)
+                solve(prob, g)
             else:
                 sweep = gauss_seidel_sweep if stage == "gauss_seidel" else jacobi_sweep
                 sweep(prob, wm, np.ones((g.m, 1)), np.ones((g.m, 1)))
@@ -470,7 +468,7 @@ class TestSolve:
         wm = build_weights(g)
         with pytest.raises(RhsEvaluationError) as err:
             if stage == "initial":
-                solve(prob, g, wm=wm)
+                solve(prob, g)
             else:
                 sweep = gauss_seidel_sweep if stage == "gauss_seidel" else jacobi_sweep
                 sweep(prob, wm, np.ones((g.m, 3)))
@@ -488,22 +486,6 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(tp.problem, g, max_sweeps=0)
 
-    @pytest.mark.parametrize("iv, N, h", [
-        pytest.param(Interval(0.0, 0.5), 16, 0.5, id="h"),
-        pytest.param(Interval(0.0, 0.5), 17, None, id="N"),
-        pytest.param(Interval(0.0, 1.0), 16, None, id="interval"),
-    ])
-    def test_rejects_weights_of_another_grid(self, iv, N, h):
-        # with the weights of h = 0.5 on the default-step grid, example1 at
-        # N = 16 reported converged with E1 = 0.172 instead of 6e-11
-        tp = example1()
-        g = build_grid(tp.problem.iv, 16)
-        wm = build_weights(build_grid(iv, N, h))
-        with pytest.raises(ValueError, match="different grid"):
-            solve(tp.problem, g, wm=wm)
-        with pytest.raises(ValueError, match="different grid"):
-            reference_solution(tp.problem, g, wm=wm)
-
     def test_rejects_grid_of_another_interval(self):
         # example1 lives on [0, 0.5]; on a [0, 1] grid it converged with
         # x(b) = 2.718, against the exact 1.649 at b = 0.5
@@ -513,13 +495,24 @@ class TestSolve:
         with pytest.raises(ValueError, match=r"b=1\.0.*b=0\.5"):
             reference_solution(tp.problem, build_grid(Interval(0.0, 1.0), 16))
 
-    def test_accepts_weights_of_identical_rebuilt_grid(self):
-        tp = example1()
-        wm = build_weights(build_grid(tp.problem.iv, 16))
-        sol, _ = solve(tp.problem, build_grid(tp.problem.iv, 16), wm=wm)
-        assert np.max(np.abs(sol.x_nodes - tp.exact(sol.grid.t))) < 1e-9
+    # the weights come from the grid handed in, built once per call, so no
+    # caller can pair a grid with the weights of another
+    def test_builds_weights_once_from_its_grid(self, monkeypatch):
+        built = []
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+        def counting(grid):
+            built.append(grid)
+            return build_weights(grid)
+
+        monkeypatch.setattr(solver, "build_weights", counting)
+        tp = example1()
+        grids = [build_grid(tp.problem.iv, N) for N in (8, 16, 16)]
+        solve(tp.problem, grids[0], method="gauss_seidel")
+        solve(tp.problem, grids[1], method="jacobi")
+        reference_solution(tp.problem, grids[2])
+        assert [id(g) for g in built] == [id(g) for g in grids]
+
+    @pytest.mark.parametrize("tol",[float("nan"), float("inf")])
     def test_rejects_non_finite_tol(self, tol):
         # NaN would compare false with every z and inf would accept the
         # first sweep
@@ -569,7 +562,7 @@ class TestReferenceSolution:
         tp = example1()
         g = build_grid(tp.problem.iv, 64)
         wm = build_weights(g)
-        ref = reference_solution(tp.problem, g, wm=wm)
+        ref = reference_solution(tp.problem, g)
         after = gauss_seidel_sweep(tp.problem, wm, ref.x_nodes.copy())
         assert np.max(np.abs(after - ref.x_nodes)) < 1e-14
 
