@@ -23,7 +23,7 @@ class DEGrid:
     N: int
     h: float
     s: np.ndarray  # nodes j*h, j = -N..N
-    t: np.ndarray  # mapped times phi(s_j), strictly increasing in (a, b)
+    t: np.ndarray  # mapped times phi(s_j), nondecreasing in [a, b]
     dphi: np.ndarray  # phi'(s_j), nonnegative (0 only by underflow)
 
     @property

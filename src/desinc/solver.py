@@ -118,39 +118,34 @@ class SincSolution:
     x_a: np.ndarray
 
 
-def _eval_rhs(prob: IVProblem, grid: DEGrid, k: int, x: np.ndarray, out: np.ndarray,
-              check_shape: bool = False) -> None:
+def _eval_rhs(prob: IVProblem, grid: DEGrid, k: int, x: np.ndarray, out: np.ndarray) -> None:
     """Store rhs(t_k, x) into the node row out.  A failing rhs, or a
     result that cannot be stored in the row, raises RhsEvaluationError;
-    so does, with check_shape, a result that the row would broadcast."""
+    so does, at node k = 0, a result that the row would broadcast."""
     t = grid.t[k]
     try:
         f = prob.rhs(t, x)
-        if check_shape and np.shape(f) != out.shape:
+        # the shape is checked at the first node of every pass, not per
+        # node, to keep the per-node cost of the sweeps down
+        if k == 0 and np.shape(f) != out.shape:
             raise ValueError(f"rhs returned shape {np.shape(f)}, expected {out.shape}")
         out[...] = f
     except Exception as exc:
         raise RhsEvaluationError(k - grid.N, t, exc) from exc
 
 
-def _eval_rhs_all(prob: IVProblem, grid: DEGrid, x: np.ndarray) -> np.ndarray:
-    # the shape of the first result is checked once per call, not per node,
-    # to keep the per-node cost of the sweeps down
-    out = np.empty_like(x)
-    _eval_rhs(prob, grid, 0, x[0], out[0], check_shape=True)
-    for k in range(1, grid.m):
+def _eval_rhs_all(prob: IVProblem, grid: DEGrid, x: np.ndarray, out: np.ndarray) -> None:
+    """Fill out with the rhs at every node row of x."""
+    for k in range(grid.m):
         _eval_rhs(prob, grid, k, x[k], out[k])
-    return out
 
 
 def _check_sweep_arrays(prob: IVProblem, grid: DEGrid, state: np.ndarray,
-                        fvals: np.ndarray | None) -> None:
-    """Raise ValueError unless state, and fvals if given, are floating
-    arrays of shape (m, n), which a sweep can update in place."""
+                        fvals: np.ndarray) -> None:
+    """Raise ValueError unless state and fvals are floating arrays of
+    shape (m, n), which a sweep can update in place."""
     expected = (grid.m, prob.x_a.size)
     for name, a in (("state", state), ("fvals", fvals)):
-        if a is None:
-            continue
         if not isinstance(a, np.ndarray):
             got = f"{type(a).__name__} of shape {np.shape(a)}"
         elif a.shape != expected or not np.issubdtype(a.dtype, np.floating):
@@ -160,42 +155,29 @@ def _check_sweep_arrays(prob: IVProblem, grid: DEGrid, state: np.ndarray,
         raise ValueError(f"{name} must be a floating array of shape {expected}, got {got}")
 
 
-def jacobi_sweep(
-    prob: IVProblem,
-    wm: WeightMatrix,
-    state: np.ndarray,
-    fvals: np.ndarray | None = None,
-) -> np.ndarray:
-    """One Jacobi sweep: every node is recomputed from the previous sweep
-    only, into a new array; state is left unchanged.  fvals is the rhs
-    cache described in gauss_seidel_sweep, and both arrays are checked as
-    there.  The weights are applied by WeightMatrix.matmul, which does not
-    form the dense w.
+def jacobi_sweep(prob: IVProblem, wm: WeightMatrix, state: np.ndarray,
+                 fvals: np.ndarray) -> None:
+    """One Jacobi sweep in place: every node is recomputed from the
+    previous sweep only, as state = x_a + w @ fvals, and fvals is then
+    refilled at the new state.  The arrays are as in gauss_seidel_sweep.
+    The weights are applied by WeightMatrix.matmul, which does not form
+    the dense w.
     """
     grid = wm.grid
     _check_sweep_arrays(prob, grid, state, fvals)
-    if fvals is None:
-        fvals = _eval_rhs_all(prob, grid, state)
-    new = prob.x_a[None, :] + wm.matmul(fvals)
-    fvals[:] = _eval_rhs_all(prob, grid, new)
-    return new
+    np.add(prob.x_a, wm.matmul(fvals), out=state)
+    _eval_rhs_all(prob, grid, state, fvals)
 
 
-def gauss_seidel_sweep(
-    prob: IVProblem,
-    wm: WeightMatrix,
-    state: np.ndarray,
-    fvals: np.ndarray | None = None,
-) -> np.ndarray:
+def gauss_seidel_sweep(prob: IVProblem, wm: WeightMatrix, state: np.ndarray,
+                       fvals: np.ndarray) -> None:
     """One Gauss-Seidel sweep, updating nodes in ascending order in place.
 
     Node i is recomputed from already-updated values for j < i and
-    previous-sweep values for j >= i.  Each rhs value is computed once per
-    node per sweep and cached in fvals; callers may pass a cache holding
-    the rhs at the current state to avoid recomputation, and the cache is
-    left holding the rhs at the returned state.  state, and fvals if
-    given, must be floating arrays of shape (m, n); anything else raises
-    ValueError.
+    previous-sweep values for j >= i.  fvals must hold the rhs at state
+    on entry; each node's rhs is computed once per sweep into it, so it
+    holds the rhs at the updated state on exit.  state and fvals must be
+    floating arrays of shape (m, n); anything else raises ValueError.
 
     w = P diag(dphi) is read from its Toeplitz factor (WeightMatrix.p_rows)
     in blocks of _BLOCK rows, so no m x m array is formed.  The sweep keeps
@@ -208,8 +190,6 @@ def gauss_seidel_sweep(
     """
     grid = wm.grid
     _check_sweep_arrays(prob, grid, state, fvals)
-    if fvals is None:
-        fvals = _eval_rhs_all(prob, grid, state)
     x_a, m, dphi = prob.x_a, grid.m, grid.dphi
     # the rows before the current block hold this sweep's values, the rows
     # from it on last sweep's
@@ -230,7 +210,6 @@ def gauss_seidel_sweep(
             np.add(acc_i, np.dot(w_i, f_block), out=row)
             _eval_rhs(prob, grid, i, row, fvals[i])
         np.multiply(dphi[i0:i1, None], f_block, out=g[i0:i1])
-    return state
 
 
 def solve(
@@ -261,6 +240,7 @@ def solve(
     wm = build_weights(grid)
 
     state = np.tile(prob.x_a, (grid.m, 1))
+    fvals = np.empty_like(state)
     trace = IterationTrace(iterates=[] if store_iterates else None)
     # looked up per call, so that a wrapper rebound onto the name is called
     sweep = jacobi_sweep if method == "jacobi" else gauss_seidel_sweep
@@ -269,10 +249,10 @@ def solve(
     # the per-node path does not carry it
     nu = 0
     try:
-        fvals = _eval_rhs_all(prob, grid, state)
+        _eval_rhs_all(prob, grid, state, fvals)
         for nu in range(1, max_sweeps + 1):
             prev = state.copy()
-            state = sweep(prob, wm, state, fvals)
+            sweep(prob, wm, state, fvals)
             z = float(np.max(np.abs(state - prev)))
             trace.z_norms.append(z)
             if store_iterates:
@@ -288,7 +268,7 @@ def solve(
         err.sweep = nu
         raise
 
-    sol = SincSolution(grid=grid, x_nodes=state.copy(), f_nodes=fvals.copy(), x_a=prob.x_a)
+    sol = SincSolution(grid=grid, x_nodes=state, f_nodes=fvals, x_a=prob.x_a)
     if tol > 0.0 and not trace.converged:
         raise NotConvergedError(sol, trace)
     return sol, trace

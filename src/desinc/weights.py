@@ -5,8 +5,9 @@ The generator is the only form of the weights that is kept, and only this
 module reads it.  Every FFT sum against it goes through _fft_convolve:
 w @ f (the Jacobi sweep), the row sums of |w| and the merges of
 analysis.mgs_norm_exact.  Everything else reads rows of the Toeplitz
-factor through WeightMatrix.p_rows, a view of the generator; only split,
-the dense diagonal / strictly-lower / strictly-upper partition, forms w.
+factor through WeightMatrix.p_rows, a view of its reversed copy; only
+split, the dense diagonal / strictly-lower / strictly-upper partition,
+forms w.
 """
 
 from __future__ import annotations
@@ -52,14 +53,16 @@ class WeightMatrix:
 
     @cached_property
     def _p(self) -> np.ndarray:
-        # P[i, j] = gen[i - j + m - 1]: a read-only strided view of gen,
-        # made once because sliding_window_view costs microseconds a call
-        return np.lib.stride_tricks.sliding_window_view(self.gen, self.m)[:, ::-1]
+        # P[i, j] = gen[i - j + m - 1]: a read-only window of a reversed
+        # copy of gen, rows reversed so that each row runs forward in
+        # memory; made once because sliding_window_view costs microseconds
+        return np.lib.stride_tricks.sliding_window_view(self.gen[::-1].copy(), self.m)[::-1]
 
     def p_rows(self, i0: int, i1: int) -> np.ndarray:
-        """Rows i0..i1-1 of P (clipped to m), as a read-only view of the
-        generator; 0 <= i0 <= i1 is required.  Rows of w are
-        dphi[None, :] * p_rows(i0, i1), and column 0 of P holds p_0..p_{m-1}."""
+        """Rows i0..i1-1 of P (clipped to m), as a read-only view of one
+        reversed 2m-1 copy of the generator; 0 <= i0 <= i1 is required.
+        Rows of w are dphi[None, :] * p_rows(i0, i1), and column 0 of P
+        holds p_0..p_{m-1}."""
         if not 0 <= i0 <= i1:
             raise ValueError(f"rows {i0}..{i1} need 0 <= i0 <= i1")
         return self._p[i0:i1]

@@ -101,19 +101,17 @@ def gauss_seidel_sweep_naive(x_a, w, tgrid, rhs, state):
     return np.array(new)
 
 
-def gauss_seidel_sweep_rowdot(prob, wm, state, fvals=None):
+def gauss_seidel_sweep_rowdot(prob, wm, state, fvals):
     """Gauss-Seidel sweep in place with one m-long dot product of the dense
     w per node, calling prob.rhs directly; same arguments, rhs calls and
-    rhs cache as desinc.solver.gauss_seidel_sweep, whose rows it sums in
-    another order."""
+    in-place contract as desinc.solver.gauss_seidel_sweep (fvals holds the
+    rhs at state on entry and at the new state on exit, nothing is
+    returned), whose rows it sums in another order."""
     t, w = wm.grid.t, dense_weights(wm)
-    if fvals is None:
-        fvals = np.array([prob.rhs(tk, x) for tk, x in zip(t, state)], dtype=float)
     for i in range(wm.m):
         # fvals[i] still holds the previous-sweep value here
         state[i] = prob.x_a + w[i] @ fvals
         fvals[i] = prob.rhs(t[i], state[i])
-    return state
 
 
 def matmul_fsum(w, f) -> np.ndarray:

@@ -33,6 +33,11 @@ def zero_problem(n=2):
                      iv=Interval(0.0, 1.0))
 
 
+def rhs_at(prob, t, state):
+    """The rhs cache a sweep takes: the rhs at every row of state."""
+    return np.array([prob.rhs(tk, x) for tk, x in zip(t, state)], dtype=float)
+
+
 class TestIVProblem:
     def test_dimension_is_x_a_size(self):
         assert IVProblem(rhs=lv_rhs, x_a=2.0, iv=Interval(0.0, 1.0)).x_a.shape == (1,)
@@ -71,38 +76,39 @@ class TestJacobiSweep:
         prob = zero_problem()
         g = build_grid(prob.iv, 4)
         wm = build_weights(g)
-        cur = np.random.default_rng(0).normal(size=(g.m, prob.x_a.size))
-        out = jacobi_sweep(prob, wm, cur)
-        assert np.allclose(out, prob.x_a, atol=0)
+        state = np.random.default_rng(0).normal(size=(g.m, prob.x_a.size))
+        jacobi_sweep(prob, wm, state, rhs_at(prob, g.t, state))
+        assert np.allclose(state, prob.x_a, atol=0)
 
     def test_linear_growth_from_ones(self):
         tp = example1()
         g = build_grid(tp.problem.iv, 4)
         wm = build_weights(g)
-        cur = np.ones((g.m, 1))
-        out = jacobi_sweep(tp.problem, wm, cur)
+        state = np.ones((g.m, 1))
+        jacobi_sweep(tp.problem, wm, state, rhs_at(tp.problem, g.t, state))
         # rhs = x = 1 at every node, so node i becomes 1 + sum_j w_ij
         expected = 1.0 + dense_weights(wm).sum(axis=1)
-        assert np.allclose(out[:, 0], expected, rtol=1e-15)
+        assert np.allclose(state[:, 0], expected, rtol=1e-15)
 
     def test_fixed_point_satisfies_collocation_system(self):
         tp = example1()
         g = build_grid(tp.problem.iv, 16)
         wm = build_weights(g)
         sol, _ = solve(tp.problem, g, tol=1e-15)
-        after = jacobi_sweep(tp.problem, wm, sol.x_nodes)
+        after = sol.x_nodes.copy()
+        jacobi_sweep(tp.problem, wm, after, sol.f_nodes.copy())
         assert np.max(np.abs(after - sol.x_nodes)) < 1e-14
 
-    def test_rhs_cache_follows_returned_state(self):
+    def test_updates_state_and_rhs_cache_in_place(self):
         tp = example3()
         g = build_grid(tp.problem.iv, 8)
         wm = build_weights(g)
         state = np.tile(tp.problem.x_a, (g.m, 1))
-        fvals = np.array([tp.problem.rhs(t, x) for t, x in zip(g.t, state)])
-        before = state.copy()
-        out = jacobi_sweep(tp.problem, wm, state, fvals)
-        assert out is not state and np.array_equal(state, before)
-        assert np.array_equal(fvals, [tp.problem.rhs(t, x) for t, x in zip(g.t, out)])
+        fvals = rhs_at(tp.problem, g.t, state)
+        expected = tp.problem.x_a + wm.matmul(fvals)
+        assert jacobi_sweep(tp.problem, wm, state, fvals) is None
+        assert np.array_equal(state, expected)
+        assert np.array_equal(fvals, rhs_at(tp.problem, g.t, state))
 
 
 class TestGaussSeidelSweep:
@@ -111,8 +117,8 @@ class TestGaussSeidelSweep:
         g = build_grid(prob.iv, 3)
         wm = build_weights(g)
         state = np.random.default_rng(1).normal(size=(g.m, prob.x_a.size))
-        out = gauss_seidel_sweep(prob, wm, state)
-        assert np.allclose(out, prob.x_a, atol=0)
+        gauss_seidel_sweep(prob, wm, state, rhs_at(prob, g.t, state))
+        assert np.allclose(state, prob.x_a, atol=0)
 
     def test_matches_double_loop_oracle(self):
         tp = example1()
@@ -122,8 +128,8 @@ class TestGaussSeidelSweep:
         expected = gauss_seidel_sweep_naive(
             tp.problem.x_a, dense_weights(wm), g.t, tp.problem.rhs, state.copy()
         )
-        out = gauss_seidel_sweep(tp.problem, wm, state.copy())
-        assert np.max(np.abs(out - expected)) < 1e-15
+        gauss_seidel_sweep(tp.problem, wm, state, rhs_at(tp.problem, g.t, state))
+        assert np.max(np.abs(state - expected)) < 1e-15
 
     @settings(max_examples=40, deadline=None)
     @given(N=st.integers(2, 40),
@@ -145,8 +151,8 @@ class TestGaussSeidelSweep:
         state = rng.uniform(-2.0, 2.0, (g.m, n))
         before = state.copy()
         fvals = np.array([rhs(t, x) for t, x in zip(g.t, state)])
-        out = gauss_seidel_sweep(prob, wm, state, fvals)
-        assert out is state
+        assert gauss_seidel_sweep(prob, wm, state, fvals) is None
+        out = state
         # Each row is checked against the literal update at the sweep's own
         # earlier rows.  Whole sweeps would also differ by the rounding
         # carried from row to row, which the quadratic lv field amplifies
@@ -174,11 +180,12 @@ class TestGaussSeidelSweep:
         rng = np.random.default_rng(N)
         state = prob.x_a * rng.uniform(0.5, 1.5, (g.m, prob.x_a.size))
         fvals = np.array([prob.rhs(t, x) for t, x in zip(g.t, state)])
-        expected = gauss_seidel_sweep_rowdot(prob, wm, state.copy(), fvals.copy())
-        out = gauss_seidel_sweep(prob, wm, state, fvals)
+        expected = state.copy()
+        gauss_seidel_sweep_rowdot(prob, wm, expected, fvals.copy())
+        gauss_seidel_sweep(prob, wm, state, fvals)
         eps = np.finfo(float).eps
-        assert np.all(np.abs(out - expected) <= 4 * eps * np.maximum(1.0, np.abs(expected)))
-        assert np.array_equal(fvals, [prob.rhs(t, x) for t, x in zip(g.t, out)])
+        assert np.all(np.abs(state - expected) <= 4 * eps * np.maximum(1.0, np.abs(expected)))
+        assert np.array_equal(fvals, rhs_at(prob, g.t, state))
 
     def test_ascending_order_is_load_bearing(self):
         # updating in descending order must give a different sweep result
@@ -186,7 +193,8 @@ class TestGaussSeidelSweep:
         g = build_grid(tp.problem.iv, 2)
         wm = build_weights(g)
         state0 = np.full((g.m, 1), 1.0)
-        ascending = gauss_seidel_sweep(tp.problem, wm, state0.copy())
+        ascending = state0.copy()
+        gauss_seidel_sweep(tp.problem, wm, ascending, rhs_at(tp.problem, g.t, ascending))
 
         state = state0.copy()
         fvals = np.array([tp.problem.rhs(t, state[k]) for k, t in enumerate(g.t)])
@@ -213,8 +221,9 @@ class TestGaussSeidelSweep:
                          iv=Interval(0.0, 1.0))
         u, v = 1.3, 0.8
         state = np.array([[u], [v]])
-        jac = jacobi_sweep(prob, wm, state.copy())
-        gs = gauss_seidel_sweep(prob, wm, state.copy())
+        jac, gs = state.copy(), state.copy()
+        jacobi_sweep(prob, wm, jac, rhs_at(prob, FakeGrid.t, jac))
+        gauss_seidel_sweep(prob, wm, gs, rhs_at(prob, FakeGrid.t, gs))
         assert gs[0, 0] == jac[0, 0]
         assert gs[1, 0] - jac[1, 0] == pytest.approx(w[1, 0] * (jac[0, 0] - u), rel=1e-14)
 
@@ -228,7 +237,8 @@ class TestGaussSeidelSweep:
         g = build_grid(prob.iv, 4)
         wm = build_weights(g)
         with pytest.raises(RhsEvaluationError) as err:
-            gauss_seidel_sweep(prob, wm, np.ones((g.m, 1)))
+            # rhs = x at the ones up to t = 0.4, so ones are its cache there
+            gauss_seidel_sweep(prob, wm, np.ones((g.m, 1)), np.ones((g.m, 1)))
         assert err.value.t > 0.4
         assert "node" in str(err.value)
 
@@ -264,7 +274,7 @@ class TestSweepArguments:
         prob, wm, m = self.case()
         state = make(m)
         with pytest.raises(ValueError, match=shapes_named("state", m, state)):
-            sweep(prob, wm, state)
+            sweep(prob, wm, state, np.ones((m, 1)))
 
     @pytest.mark.parametrize("sweep", [jacobi_sweep, gauss_seidel_sweep])
     @pytest.mark.parametrize("make", [
@@ -281,8 +291,10 @@ class TestSweepArguments:
     @pytest.mark.parametrize("sweep", [jacobi_sweep, gauss_seidel_sweep])
     def test_float32_state_accepted(self, sweep):
         prob, wm, m = self.case()
-        out = sweep(prob, wm, np.ones((m, 1), dtype=np.float32))
-        assert np.all(np.isfinite(out))
+        state = np.ones((m, 1), dtype=np.float32)
+        # rhs = 1.5 x
+        sweep(prob, wm, state, np.full((m, 1), 1.5))
+        assert np.all(np.isfinite(state))
 
 
 class TestSolve:
@@ -326,6 +338,15 @@ class TestSolve:
         _, trace = solve(tp.problem, g, tol=1e-14, store_iterates=True)
         for it in trace.iterates:
             assert np.max(np.abs(it - tp.problem.x_a)) <= tp.problem.rho
+
+    def test_solution_does_not_alias_stored_iterates(self):
+        tp = example1()
+        g = build_grid(tp.problem.iv, 16)
+        sol, trace = solve(tp.problem, g, tol=1e-14, store_iterates=True)
+        last = trace.iterates[-1].copy()
+        assert np.array_equal(sol.x_nodes, last)
+        sol.x_nodes[:] = -1.0
+        assert np.array_equal(trace.iterates[-1], last)
 
     def test_dimension_independent_z_norms(self):
         traces = []
@@ -471,7 +492,7 @@ class TestSolve:
                 solve(prob, g)
             else:
                 sweep = gauss_seidel_sweep if stage == "gauss_seidel" else jacobi_sweep
-                sweep(prob, wm, np.ones((g.m, 3)))
+                sweep(prob, wm, np.ones((g.m, 3)), np.ones((g.m, 3)))
         assert (err.value.node, err.value.t) == (-g.N, g.t[0])
         assert isinstance(err.value.__cause__, ValueError)
         assert "(1,)" in str(err.value)
@@ -563,7 +584,8 @@ class TestReferenceSolution:
         g = build_grid(tp.problem.iv, 64)
         wm = build_weights(g)
         ref = reference_solution(tp.problem, g)
-        after = gauss_seidel_sweep(tp.problem, wm, ref.x_nodes.copy())
+        after = ref.x_nodes.copy()
+        gauss_seidel_sweep(tp.problem, wm, after, ref.f_nodes.copy())
         assert np.max(np.abs(after - ref.x_nodes)) < 1e-14
 
     def test_matches_tight_solve(self):

@@ -1,7 +1,8 @@
 """Layout ownership: the Toeplitz generator WeightMatrix.gen has one
 reader, weights.py, and np.fft one caller, weights._fft_convolve.  Every
 other module goes through WeightMatrix.p_rows, matmul or abs_row_sums, so
-the generator's layout is spelled out in one place."""
+the generator's layout is spelled out in one place.  And the sweeps share
+one in-place contract: they return nothing."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,13 @@ def test_only_fft_convolve_calls_numpy_fft():
     callers = _uses(lambda a: a.attr == "fft" and isinstance(a.value, ast.Name)
                     and a.value.id == "np")
     assert callers == {("weights.py", "_fft_convolve")}
+
+
+def test_sweeps_return_no_value():
+    tree = ast.parse((SRC / "solver.py").read_text(encoding="utf-8"))
+    sweeps = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name in ("jacobi_sweep", "gauss_seidel_sweep")}
+    assert sorted(sweeps) == ["gauss_seidel_sweep", "jacobi_sweep"]
+    for name, fn in sweeps.items():
+        returns = [r.lineno for r in ast.walk(fn) if isinstance(r, ast.Return) and r.value]
+        assert not returns, f"{name} returns a value at line(s) {returns}"
