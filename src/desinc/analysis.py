@@ -82,7 +82,7 @@ def mgs_norm_exact(wm: WeightMatrix, L: float) -> float:
     """
     check_positive_finite("L", L)
     m, dphi = wm.m, wm.grid.dphi
-    a = np.abs(wm.p_rows(0, m)[:, 0])  # a[k] = |p_k|, k = 0..m-1
+    a = np.abs(wm.p_column)  # a[k] = |p_k|, k = 0..m-1
     nb = min(m, _LEAF)
     with np.errstate(over="ignore", invalid="ignore"):
         k = np.arange(nb)

@@ -21,16 +21,13 @@ from .problems import problem_from_name
 from .solver import (DEFAULT_MAX_SWEEPS, DEFAULT_TOL, METHODS, NotConvergedError,
                      reference_solution, solve)
 from .special import check_count, check_positive_finite
-from .weights import build_weights
+from .weights import ROWS, build_weights
 
 __all__ = ["RunConfig", "cmd_solve", "cmd_trace", "cmd_analyze", "cmd_dump_weights", "main"]
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 1
 EXIT_BAD_CONFIG = 2
-
-# rows of w per block that dump-weights forms and writes
-_DUMP_ROWS = 32
 
 
 @dataclass
@@ -158,8 +155,8 @@ def cmd_dump_weights(cfg: RunConfig) -> int:
     wm = build_weights(grid)
     with _open_out(cfg.output) as fh:
         # row blocks of w = P diag(dphi), so the m x m matrix is never formed
-        for i0 in range(0, grid.m, _DUMP_ROWS):
-            np.savetxt(fh, grid.dphi * wm.p_rows(i0, i0 + _DUMP_ROWS), fmt="%.17e",
+        for i0 in range(0, grid.m, ROWS):
+            np.savetxt(fh, grid.dphi * wm.p_rows(i0, i0 + ROWS), fmt="%.17e",
                        delimiter=",")
     return EXIT_OK
 

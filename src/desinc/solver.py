@@ -13,7 +13,7 @@ import numpy as np
 
 from .grid import DEGrid
 from .special import Interval, check_count, check_positive_finite, j_kernel, phi_de_inv
-from .weights import WeightMatrix, build_weights
+from .weights import ROWS, WeightMatrix, build_weights
 
 __all__ = [
     "IVProblem",
@@ -32,9 +32,6 @@ DEFAULT_TOL = 1e-14
 DEFAULT_MAX_SWEEPS = 50
 # the sweep kinds solve takes, in the order the CLI lists them
 METHODS = ("jacobi", "gauss_seidel")
-
-# rows per block of the Gauss-Seidel sweep
-_BLOCK = 32
 
 
 class RhsEvaluationError(RuntimeError):
@@ -118,26 +115,21 @@ class SincSolution:
     x_a: np.ndarray
 
 
-def _eval_rhs(prob: IVProblem, grid: DEGrid, k: int, x: np.ndarray, out: np.ndarray) -> None:
-    """Store rhs(t_k, x) into the node row out.  A failing rhs, or a
-    result that cannot be stored in the row, raises RhsEvaluationError;
-    so does, at node k = 0, a result that the row would broadcast."""
-    t = grid.t[k]
-    try:
-        f = prob.rhs(t, x)
-        # the shape is checked at the first node of every pass, not per
-        # node, to keep the per-node cost of the sweeps down
-        if k == 0 and np.shape(f) != out.shape:
-            raise ValueError(f"rhs returned shape {np.shape(f)}, expected {out.shape}")
-        out[...] = f
-    except Exception as exc:
-        raise RhsEvaluationError(k - grid.N, t, exc) from exc
-
-
-def _eval_rhs_all(prob: IVProblem, grid: DEGrid, x: np.ndarray, out: np.ndarray) -> None:
-    """Fill out with the rhs at every node row of x."""
-    for k in range(grid.m):
-        _eval_rhs(prob, grid, k, x[k], out[k])
+def _fill_rhs(prob: IVProblem, grid: DEGrid, state: np.ndarray, fvals: np.ndarray) -> None:
+    """Store rhs(t_k, state[k]) into fvals[k] at every node k.  A failing
+    rhs, or a result of another shape than a node row, raises
+    RhsEvaluationError; gauss_seidel_sweep repeats this loop body."""
+    rhs, shape = prob.rhs, prob.x_a.shape
+    for node, t, row, f_row in zip(range(-grid.N, grid.N + 1), grid.t, state, fvals):
+        try:
+            f = rhs(t, row)
+            # the attribute compare costs less than np.shape, which only
+            # a result without a shape attribute (a list, say) needs
+            if getattr(f, "shape", None) != shape and np.shape(f) != shape:
+                raise ValueError(f"rhs returned shape {np.shape(f)}, expected {shape}")
+            f_row[...] = f
+        except Exception as exc:
+            raise RhsEvaluationError(node, t, exc) from exc
 
 
 def _check_sweep_arrays(prob: IVProblem, grid: DEGrid, state: np.ndarray,
@@ -166,7 +158,7 @@ def jacobi_sweep(prob: IVProblem, wm: WeightMatrix, state: np.ndarray,
     grid = wm.grid
     _check_sweep_arrays(prob, grid, state, fvals)
     np.add(prob.x_a, wm.matmul(fvals), out=state)
-    _eval_rhs_all(prob, grid, state, fvals)
+    _fill_rhs(prob, grid, state, fvals)
 
 
 def gauss_seidel_sweep(prob: IVProblem, wm: WeightMatrix, state: np.ndarray,
@@ -179,36 +171,43 @@ def gauss_seidel_sweep(prob: IVProblem, wm: WeightMatrix, state: np.ndarray,
     holds the rhs at the updated state on exit.  state and fvals must be
     floating arrays of shape (m, n); anything else raises ValueError.
 
-    w = P diag(dphi) is read from its Toeplitz factor (WeightMatrix.p_rows)
-    in blocks of _BLOCK rows, so no m x m array is formed.  The sweep keeps
-    g = dphi * fvals.  At the start of a block its rows of P are copied out
-    once, and matrix products with g sum each row over the columns left
-    and right of the block.  Each node then adds a dot product of fvals
-    over the block's own columns, with weights dphi[j] * P[i, j] from the
-    copied rows.  So every row is summed in another order than by one
-    m-long dot product of the dense w, and node values differ by ulps.
+    w = P diag(dphi) is read from its Toeplitz factor in blocks of ROWS
+    rows (WeightMatrix.p_rows, views that BLAS reads in place), so no
+    m x m array is formed or copied.  The sweep keeps g = dphi * fvals.  At
+    the start of a block, matrix products of its rows of P with g sum each
+    row over the columns left and right of the block.  Each node then adds
+    a dot product of fvals over the block's own columns, with its row of
+    the block's diagonal block of w (WeightMatrix.diag_blocks).  So every
+    row is summed in another order than by one m-long dot product of the
+    dense w, and node values differ by ulps.
     """
     grid = wm.grid
     _check_sweep_arrays(prob, grid, state, fvals)
-    x_a, m, dphi = prob.x_a, grid.m, grid.dphi
+    x_a, m, N, dphi, ts = prob.x_a, grid.m, grid.N, grid.dphi, grid.t
+    rhs, shape = prob.rhs, x_a.shape
     # the rows before the current block hold this sweep's values, the rows
     # from it on last sweep's
     g = dphi[:, None] * fvals
-    p_buf = np.empty((min(_BLOCK, m), m))
-    for i0 in range(0, m, _BLOCK):
-        i1 = min(i0 + _BLOCK, m)
-        p_block = p_buf[:i1 - i0]
-        p_block[...] = wm.p_rows(i0, i1)
+    for i0, w_block in zip(range(0, m, ROWS), wm.diag_blocks):
+        i1 = min(i0 + ROWS, m)
+        p_block = wm.p_rows(i0, i1)
         # an empty product (first and last block) is zero
         acc = x_a + p_block[:, :i0] @ g[:i0] + p_block[:, i1:] @ g[i1:]
-        w_block = dphi[i0:i1] * p_block[:, i0:i1]
         # a view: its rows before i already hold this sweep's values
         f_block = fvals[i0:i1]
-        for i, acc_i, w_i in zip(range(i0, i1), acc, w_block):
-            row = state[i]
-            # on a contiguous row, np.dot costs less per call than @
-            np.add(acc_i, np.dot(w_i, f_block), out=row)
-            _eval_rhs(prob, grid, i, row, fvals[i])
+        for node, t, acc_i, w_i, row, f_row in zip(range(i0 - N, i1 - N), ts[i0:i1], acc,
+                                                   w_block, state[i0:i1], f_block):
+            # the dot method is np.dot without its dispatch, about 0.2 us
+            # less per call; @ costs more than either
+            np.add(acc_i, w_i.dot(f_block), out=row)
+            # the body of _fill_rhs's loop
+            try:
+                f = rhs(t, row)
+                if getattr(f, "shape", None) != shape and np.shape(f) != shape:
+                    raise ValueError(f"rhs returned shape {np.shape(f)}, expected {shape}")
+                f_row[...] = f
+            except Exception as exc:
+                raise RhsEvaluationError(node, t, exc) from exc
         np.multiply(dphi[i0:i1, None], f_block, out=g[i0:i1])
 
 
@@ -249,7 +248,7 @@ def solve(
     # the per-node path does not carry it
     nu = 0
     try:
-        _eval_rhs_all(prob, grid, state, fvals)
+        _fill_rhs(prob, grid, state, fvals)
         for nu in range(1, max_sweeps + 1):
             prev = state.copy()
             sweep(prob, wm, state, fvals)

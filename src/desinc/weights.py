@@ -1,13 +1,15 @@
 """Collocation weights w_ij = phi'(s_j) * J(j,h)(s_i), held as the 4N+1
 values that generate their Toeplitz factor.
 
-The generator is the only form of the weights that is kept, and only this
-module reads it.  Every FFT sum against it goes through _fft_convolve:
+The generator and the arrays derived from it here, none of them m x m,
+are the only forms of the weights that are kept, and only this module
+reads the generator.  Every FFT sum against it goes through _fft_convolve:
 w @ f (the Jacobi sweep), the row sums of |w| and the merges of
-analysis.mgs_norm_exact.  Everything else reads rows of the Toeplitz
-factor through WeightMatrix.p_rows, a view of its reversed copy; only
-split, the dense diagonal / strictly-lower / strictly-upper partition,
-forms w.
+analysis.mgs_norm_exact.  Everything else reads the Toeplitz factor
+through WeightMatrix.p_rows, at most ROWS rows at a time, its first
+column through WeightMatrix.p_column, or the diagonal blocks of w through
+WeightMatrix.diag_blocks; only split, the dense diagonal / strictly-lower
+/ strictly-upper partition, forms w.
 """
 
 from __future__ import annotations
@@ -23,16 +25,22 @@ from .special import si
 
 __all__ = ["WeightMatrix", "TriangularSplit", "build_weights", "split"]
 
+# rows of P that p_rows returns at most: the block height of the
+# Gauss-Seidel sweep, of diag_blocks and of dump-weights
+ROWS = 32
+
 
 @dataclass(frozen=True)
 class WeightMatrix:
     """Collocation weights on a grid.
 
     w[i, j] = dphi[j] * p_{i-j} with p_k = h * (1/2 + Si(pi k)/pi), i.e.
-    w = P diag(dphi) with P Toeplitz.  Only the generator gen, with
-    gen[k + m - 1] = p_k for k = -(m-1)..m-1, is stored; p_rows reads rows
-    of P from it.  matmul convolves the generator with dphi * f by FFT on
-    every call; only the row sums of |w| are computed once and kept.
+    w = P diag(dphi) with P Toeplitz.  The weights are given by the
+    generator gen, with gen[k + m - 1] = p_k for k = -(m-1)..m-1; every
+    other array here is derived from it on first use and kept, and none is
+    m x m.  p_rows reads up to ROWS rows of P from one stack of shifted
+    copies of gen.  matmul convolves gen with dphi * f by FFT, reusing
+    gen's spectrum.
 
     matmul is accurate normwise: the error in column c of w @ f is a few
     eps times max_i (|w| |f|)_ic, so a row whose own (|w| |f|)_ic is much
@@ -52,27 +60,58 @@ class WeightMatrix:
         return self.grid.m
 
     @cached_property
-    def _p(self) -> np.ndarray:
-        # P[i, j] = gen[i - j + m - 1]: a read-only window of a reversed
-        # copy of gen, rows reversed so that each row runs forward in
-        # memory; made once because sliding_window_view costs microseconds
-        return np.lib.stride_tricks.sliding_window_view(self.gen[::-1].copy(), self.m)[::-1]
+    def _stack(self) -> np.ndarray:
+        # _stack[r, c] = gen[2m - 2 - c + r] for c >= r: row r is the
+        # reversed generator shifted right by r, so row i0 + r of P,
+        # gen[i0 + r - j + m - 1] over j, is _stack[r, m - 1 - i0 + j]
+        m = self.m
+        padded = np.concatenate([np.zeros(ROWS - 1), self.gen[::-1]])
+        stack = np.lib.stride_tricks.sliding_window_view(padded, 2 * m - 1)[::-1].copy()
+        stack.flags.writeable = False
+        return stack
 
     def p_rows(self, i0: int, i1: int) -> np.ndarray:
-        """Rows i0..i1-1 of P (clipped to m), as a read-only view of one
-        reversed 2m-1 copy of the generator; 0 <= i0 <= i1 is required.
-        Rows of w are dphi[None, :] * p_rows(i0, i1), and column 0 of P
-        holds p_0..p_{m-1}."""
-        if not 0 <= i0 <= i1:
-            raise ValueError(f"rows {i0}..{i1} need 0 <= i0 <= i1")
-        return self._p[i0:i1]
+        """Rows i0..i1-1 of P (clipped to m), as a read-only view of
+        ROWS x (2m - 1) values that BLAS reads in place: unit column
+        stride, row stride 2m - 1.  0 <= i0 <= i1 <= i0 + ROWS is required.
+        Rows of w are dphi[None, :] * p_rows(i0, i1)."""
+        if not 0 <= i0 <= i1 <= i0 + ROWS:
+            raise ValueError(f"rows {i0}..{i1} need 0 <= i0 <= i1 <= i0 + {ROWS}")
+        m = self.m
+        c0 = m - 1 - min(i0, m - 1)
+        return self._stack[:max(0, min(i1, m) - i0), c0:c0 + m]
+
+    @cached_property
+    def diag_blocks(self) -> list[np.ndarray]:
+        """The diagonal blocks w[i0:i1, i0:i1] = dphi[i0:i1] * P[i0:i1, i0:i1]
+        for i0 = 0, ROWS, 2 ROWS, ... and i1 = min(i0 + ROWS, m), read-only:
+        ROWS m values in all."""
+        dphi = self.grid.dphi
+        blocks = [dphi[i0:i0 + ROWS] * self.p_rows(i0, i0 + ROWS)[:, i0:i0 + ROWS]
+                  for i0 in range(0, self.m, ROWS)]
+        for block in blocks:
+            block.flags.writeable = False
+        return blocks
+
+    @property
+    def p_column(self) -> np.ndarray:
+        """Column 0 of P, p_0..p_{m-1}, as a read-only view."""
+        col = self.gen[self.m - 1:]
+        col.flags.writeable = False
+        return col
+
+    @cached_property
+    def _spectra(self) -> dict:
+        # FFTs of gen by length, kept for matmul's _fft_convolve calls
+        return {}
 
     def matmul(self, f: np.ndarray) -> np.ndarray:
         """w @ f for f of shape (m, n), as P @ (dphi * f) without forming w:
         row i of P @ g is entry i + m - 1 of the linear convolution of gen
         with g."""
         m = self.m
-        return _fft_convolve(self.gen, self.grid.dphi[:, None] * f, m - 1, 2 * m - 1)
+        return _fft_convolve(self.gen, self.grid.dphi[:, None] * f, m - 1, 2 * m - 1,
+                             self._spectra)
 
     @cached_property
     def abs_row_sums(self) -> tuple[np.ndarray, np.ndarray]:
@@ -91,9 +130,11 @@ class WeightMatrix:
         return e_rows, df_rows
 
 
-def _fft_convolve(x: np.ndarray, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
+def _fft_convolve(x: np.ndarray, y: np.ndarray, lo: int, hi: int,
+                  spectra: dict | None = None) -> np.ndarray:
     """Entries lo..hi-1 of the linear convolution of x with y, along axis 0
-    of a 1-D or 2-D y, by FFT on a 5-smooth length.
+    of a 1-D or 2-D y, by FFT on a 5-smooth length.  A dict given as
+    spectra keeps the FFT of x by length, for the next call with the same x.
 
     The window is free of wrap-around once nfft >= len(x) + len(y) - 1 - lo,
     so one that starts late takes a shorter FFT than the whole convolution.
@@ -102,7 +143,10 @@ def _fft_convolve(x: np.ndarray, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
     length times ||x||_2 ||y||_2 (per column of y), so an entry far below
     the largest one has only that absolute accuracy."""
     nfft = _fft_length(max(hi, len(x) + len(y) - 1 - lo))
-    fx = np.fft.rfft(x, nfft)
+    spectra = {} if spectra is None else spectra
+    if nfft not in spectra:
+        spectra[nfft] = np.fft.rfft(x, nfft)
+    fx = spectra[nfft]
     if y.ndim == 2:
         fx = fx[:, None]
     return np.fft.irfft(fx * np.fft.rfft(y, nfft, axis=0), nfft, axis=0)[lo:hi]
@@ -145,7 +189,7 @@ def build_weights(grid: DEGrid) -> WeightMatrix:
 def split(wm: WeightMatrix) -> TriangularSplit:
     """Exact partition of the dense w into diagonal, strictly lower and
     strictly upper parts; each entry is the one product dphi[j] * P[i, j]."""
-    w = wm.grid.dphi * wm.p_rows(0, wm.m)
+    w = np.concatenate([wm.grid.dphi * wm.p_rows(i0, i0 + ROWS) for i0 in range(0, wm.m, ROWS)])
     return TriangularSplit(
         d=np.diag(w).copy(),
         e=np.tril(w, k=-1),

@@ -497,6 +497,60 @@ class TestSolve:
         assert isinstance(err.value.__cause__, ValueError)
         assert "(1,)" in str(err.value)
 
+    @pytest.mark.parametrize("method", solver.METHODS)
+    @pytest.mark.parametrize("call", ["solve", "sweep"])
+    def test_late_short_rhs_result_rejected(self, call, method):
+        # the short result comes only once t > 0.4; a shape check at node 0
+        # alone let it broadcast, and the solve reported converged after 21
+        # sweeps with x(b) near (15.4, 16.9, 18.5)
+        def rhs(t, x):
+            return x if t <= 0.4 else np.array([x.sum()])
+
+        prob = IVProblem(rhs=rhs, x_a=np.array([1.0, 2.0, 3.0]), iv=Interval(0.0, 1.0))
+        g = build_grid(prob.iv, 16)
+        with pytest.raises(RhsEvaluationError) as err:
+            if call == "solve":
+                solve(prob, g, method=method)
+            else:
+                sweep = gauss_seidel_sweep if method == "gauss_seidel" else jacobi_sweep
+                sweep(prob, build_weights(g), np.ones((g.m, 3)), np.ones((g.m, 3)))
+        k = int(np.argmax(g.t > 0.4))
+        assert (err.value.node, err.value.t) == (k - g.N, g.t[k])
+        assert err.value.sweep == (0 if call == "solve" else None)
+        assert isinstance(err.value.__cause__, ValueError)
+        assert "(1,)" in str(err.value)
+
+    @pytest.mark.parametrize("method", solver.METHODS)
+    def test_list_rhs_solves(self, method):
+        # a list has no shape attribute, so the check falls back to np.shape
+        prob = example2(3).problem
+        listed = dataclasses.replace(prob, rhs=lambda t, x: list(prob.rhs(t, x)))
+        g = build_grid(prob.iv, 40)
+        sol, trace = solve(listed, g, method=method)
+        ref, ref_trace = solve(prob, g, method=method)
+        assert trace.z_norms == ref_trace.z_norms
+        assert np.array_equal(sol.x_nodes, ref.x_nodes)
+
+    # m = 81: two whole blocks of the Gauss-Seidel sweep and a partial one
+    @pytest.mark.parametrize("method", solver.METHODS)
+    def test_rhs_called_once_per_node_per_sweep(self, method):
+        prob = example2(3).problem
+        calls = []
+        counted = dataclasses.replace(prob, rhs=lambda t, x: calls.append(t) or prob.rhs(t, x))
+        g = build_grid(prob.iv, 40)
+        wm = build_weights(g)
+        state = np.tile(prob.x_a, (g.m, 1))
+        fvals = rhs_at(prob, g.t, state)
+        sweep = gauss_seidel_sweep if method == "gauss_seidel" else jacobi_sweep
+        for _ in range(3):
+            calls.clear()
+            sweep(counted, wm, state, fvals)
+            # m calls, one per node in ascending order
+            assert calls == list(g.t)
+        calls.clear()
+        _, trace = solve(counted, g, method=method)
+        assert len(calls) == g.m * (len(trace.z_norms) + 1)
+
     def test_rejects_bad_arguments(self):
         tp = example1()
         g = build_grid(tp.problem.iv, 4)

@@ -1,8 +1,8 @@
 """Layout ownership: the Toeplitz generator WeightMatrix.gen has one
 reader, weights.py, and np.fft one caller, weights._fft_convolve.  Every
-other module goes through WeightMatrix.p_rows, matmul or abs_row_sums, so
-the generator's layout is spelled out in one place.  And the sweeps share
-one in-place contract: they return nothing."""
+other module goes through WeightMatrix.p_rows, p_column, diag_blocks,
+matmul or abs_row_sums, so the generator's layout is spelled out in one
+place.  And the sweeps share one in-place contract: they return nothing."""
 
 import ast
 from pathlib import Path

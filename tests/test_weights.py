@@ -9,9 +9,14 @@ from hypothesis import strategies as st
 from desinc import weights
 from desinc.grid import build_grid
 from desinc.special import Interval, si
-from desinc.weights import WeightMatrix, build_weights, split
+from desinc.weights import ROWS, WeightMatrix, build_weights, split
 
 from oracles import dense_weights, matmul_fsum, row_sum_norm, si_quadrature, weights_mpmath
+
+
+def all_p_rows(wm):
+    """P as the row blocks that p_rows returns, stacked."""
+    return np.concatenate([wm.p_rows(i0, i0 + ROWS) for i0 in range(0, wm.m, ROWS)])
 
 
 def eq35_bound(iv, h, N):
@@ -65,7 +70,7 @@ class TestBuildWeights:
             for j in range(g.m):
                 loop[i, j] = g.dphi[j] * (g.h * (0.5 + si(math.pi * (i - j)) / math.pi))
         assert np.array_equal(dense_weights(wm), loop)
-        assert np.array_equal(g.dphi * wm.p_rows(0, g.m), loop)
+        assert np.array_equal(g.dphi * all_p_rows(wm), loop)
 
     @pytest.mark.parametrize("N", [2, 4, 8, 16, 32])
     @pytest.mark.parametrize("iv", [Interval(0.0, 0.5), Interval(0.0, 1.0), Interval(-1.0, 2.0)])
@@ -88,22 +93,52 @@ class TestBuildWeights:
         wm = build_weights(g)
         assert np.all(np.isfinite(dense_weights(wm)))
 
-    # m = 65: blocks of all rows, inside, at the edges and past the end
-    @pytest.mark.parametrize("i0, i1", [(0, 65), (0, 32), (32, 64), (64, 96), (40, 41),
-                                        (60, 70)])
+    # m = 65: whole blocks, the last partial one, inside, at the edges,
+    # past the end and empty
+    @pytest.mark.parametrize("i0, i1", [(0, 32), (32, 64), (64, 96), (64, 65), (40, 41),
+                                        (60, 70), (0, 0), (65, 70)])
     def test_p_rows_are_rows_of_w(self, i0, i1):
         g = build_grid(Interval(-1.0, 2.0), 32)
         wm = build_weights(g)
         rows = wm.p_rows(i0, i1)
-        # the array under the view holds 2m - 1 values, so no m x m one exists
+        # every view is into one ROWS-row stack of at most ROWS (2m - 1 + ROWS)
+        # values, so no m x m array exists
         base = rows
         while getattr(base, "base", None) is not None:
             base = base.base
-        assert base.shape == (2 * wm.m - 1,) and not rows.flags.writeable
+        assert base.shape[0] == ROWS and base.size <= ROWS * (2 * wm.m - 1 + ROWS)
+        assert base is wm.p_rows(0, ROWS).base
+        # BLAS reads the rows in place: unit column stride, row stride >= m
+        assert rows.strides[1] == rows.itemsize
+        assert rows.strides[0] >= wm.m * rows.itemsize
+        assert not rows.flags.writeable
+        assert rows.shape == (max(0, min(i1, wm.m) - i0), wm.m)
         assert np.array_equal(g.dphi * rows, dense_weights(wm)[i0:i1])
 
-    # at N = 4 (m = 9), p_rows(-2, 9) returned rows 7..8 without an error
-    @pytest.mark.parametrize("i0, i1", [(-2, 9), (-1, 0), (5, 4)])
+    @pytest.mark.parametrize("N", [2, 16, 32, 40])
+    def test_diag_blocks_are_diagonal_blocks_of_w(self, N):
+        # m = 5, 33, 65 and 81: one short block, a whole one and one row,
+        # two whole ones and one row, and two whole ones and a partial one
+        g = build_grid(Interval(-1.0, 2.0), N)
+        wm = build_weights(g)
+        w = dense_weights(wm)
+        starts = range(0, g.m, ROWS)
+        assert len(wm.diag_blocks) == len(starts)
+        for i0, block in zip(starts, wm.diag_blocks):
+            assert np.array_equal(block, w[i0:i0 + ROWS, i0:i0 + ROWS])
+            assert not block.flags.writeable
+
+    def test_p_column_is_column_0_of_p(self):
+        g = build_grid(Interval(-1.0, 2.0), 32)
+        wm = build_weights(g)
+        col = wm.p_column
+        assert np.array_equal(col, [g.h * (0.5 + si(math.pi * k) / math.pi) for k in range(g.m)])
+        assert np.array_equal(col, all_p_rows(wm)[:, 0]) and not col.flags.writeable
+
+    # at N = 4 (m = 9), p_rows(-2, 9) returned rows 7..8 without an error;
+    # a range of more than ROWS rows is rejected even where m clips it
+    @pytest.mark.parametrize("i0, i1", [(-2, 9), (-1, 0), (5, 4), (0, ROWS + 1), (0, 65),
+                                        (3, 100)])
     def test_p_rows_rejects_bad_range(self, i0, i1):
         wm = build_weights(build_grid(Interval(0.0, 1.0), 4))
         with pytest.raises(ValueError, match="0 <= i0 <= i1"):
@@ -144,6 +179,19 @@ class TestMatmul:
         bound = 4 * np.finfo(float).eps * np.max(np.abs(w) @ np.abs(f), axis=0)
         assert np.all(np.abs(wm.matmul(f) - ref) <= bound)
         assert np.all(np.abs(w @ f - ref) <= bound)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_kept_spectrum_changes_no_bit(self, n, monkeypatch):
+        # after the first call the generator's FFT is kept: a later call
+        # transforms only dphi * f and equals an uncached convolution
+        g = build_grid(Interval(0.0, 1.0), 64)
+        wm = build_weights(g)
+        f = np.random.default_rng(n).normal(size=(g.m, n))
+        fresh = weights._fft_convolve(wm.gen, g.dphi[:, None] * f, g.m - 1, 2 * g.m - 1)
+        rfft, calls = np.fft.rfft, []
+        monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: calls.append(1) or rfft(*a, **k))
+        assert np.array_equal(wm.matmul(f), fresh) and len(calls) == 2
+        assert np.array_equal(wm.matmul(f), fresh) and len(calls) == 3
 
 
 class TestFftConvolve:
