@@ -21,7 +21,7 @@ from .problems import problem_from_name
 from .solver import (DEFAULT_MAX_SWEEPS, DEFAULT_TOL, METHODS, NotConvergedError,
                      reference_solution, solve)
 from .special import check_count, check_positive_finite
-from .weights import ROWS, build_weights
+from .weights import build_weights
 
 __all__ = ["RunConfig", "cmd_solve", "cmd_trace", "cmd_analyze", "cmd_dump_weights", "main"]
 
@@ -155,9 +155,8 @@ def cmd_dump_weights(cfg: RunConfig) -> int:
     wm = build_weights(grid)
     with _open_out(cfg.output) as fh:
         # row blocks of w = P diag(dphi), so the m x m matrix is never formed
-        for i0 in range(0, grid.m, ROWS):
-            np.savetxt(fh, grid.dphi * wm.p_rows(i0, i0 + ROWS), fmt="%.17e",
-                       delimiter=",")
+        for _, p_block, _ in wm.row_blocks:
+            np.savetxt(fh, grid.dphi * p_block, fmt="%.17e", delimiter=",")
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .grid import DEGrid
 from .special import Interval, check_count, check_positive_finite, j_kernel, phi_de_inv
-from .weights import ROWS, WeightMatrix, build_weights
+from .weights import WeightMatrix, build_weights
 
 __all__ = [
     "IVProblem",
@@ -171,26 +171,25 @@ def gauss_seidel_sweep(prob: IVProblem, wm: WeightMatrix, state: np.ndarray,
     holds the rhs at the updated state on exit.  state and fvals must be
     floating arrays of shape (m, n); anything else raises ValueError.
 
-    w = P diag(dphi) is read from its Toeplitz factor in blocks of ROWS
-    rows (WeightMatrix.p_rows, views that BLAS reads in place), so no
-    m x m array is formed or copied.  The sweep keeps g = dphi * fvals.  At
-    the start of a block, matrix products of its rows of P with g sum each
-    row over the columns left and right of the block.  Each node then adds
-    a dot product of fvals over the block's own columns, with its row of
-    the block's diagonal block of w (WeightMatrix.diag_blocks).  So every
-    row is summed in another order than by one m-long dot product of the
-    dense w, and node values differ by ulps.
+    w = P diag(dphi) is read from its Toeplitz factor in the row blocks of
+    WeightMatrix.row_blocks, views that BLAS reads in place, so no m x m
+    array is formed or copied.  The sweep keeps g = dphi * fvals.  At the
+    start of a block, matrix products of its rows of P with g sum each row
+    over the columns left and right of the block.  Each node then adds a
+    dot product of fvals over the block's own columns, with its row of the
+    block's diagonal block of w.  So every row is summed in another order
+    than by one m-long dot product of the dense w, and node values differ
+    by ulps.
     """
     grid = wm.grid
     _check_sweep_arrays(prob, grid, state, fvals)
-    x_a, m, N, dphi, ts = prob.x_a, grid.m, grid.N, grid.dphi, grid.t
+    x_a, N, dphi, ts = prob.x_a, grid.N, grid.dphi, grid.t
     rhs, shape = prob.rhs, x_a.shape
     # the rows before the current block hold this sweep's values, the rows
     # from it on last sweep's
     g = dphi[:, None] * fvals
-    for i0, w_block in zip(range(0, m, ROWS), wm.diag_blocks):
-        i1 = min(i0 + ROWS, m)
-        p_block = wm.p_rows(i0, i1)
+    for i0, p_block, w_block in wm.row_blocks:
+        i1 = i0 + len(p_block)
         # an empty product (first and last block) is zero
         acc = x_a + p_block[:, :i0] @ g[:i0] + p_block[:, i1:] @ g[i1:]
         # a view: its rows before i already hold this sweep's values

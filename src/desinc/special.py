@@ -84,7 +84,8 @@ def dphi_de(s, iv: Interval):
 
 
 def phi_de_inv(t: float, iv: Interval) -> float:
-    """Inverse of the DE transform.
+    """Inverse of the DE transform at one real t in [a, b]: an int or
+    float, numpy or not, or a 0-d array of one, but not a bool.
 
     Endpoint inputs are clamped inward to the nearest float inside (-1, 1)
     of the normalised coordinate u = (2t - a - b) / (b - a): the transform
@@ -93,6 +94,9 @@ def phi_de_inv(t: float, iv: Interval) -> float:
     interval, including one far from 0 where (b - a) * eps is below an ulp
     of t.
     """
+    if isinstance(t, bool) or not isinstance(t, (int, float, np.integer, np.floating)) and not (
+            isinstance(t, np.ndarray) and t.ndim == 0 and t.dtype.kind in "iuf"):
+        raise ValueError(f"t must be a real scalar, got {t!r}")
     if not iv.a <= t <= iv.b:
         raise ValueError(f"t = {t} outside interval [{iv.a}, {iv.b}]")
     u_max = math.nextafter(1.0, 0.0)

@@ -6,10 +6,10 @@ are the only forms of the weights that are kept, and only this module
 reads the generator.  Every FFT sum against it goes through _fft_convolve:
 w @ f (the Jacobi sweep), the row sums of |w| and the merges of
 analysis.mgs_norm_exact.  Everything else reads the Toeplitz factor
-through WeightMatrix.p_rows, at most ROWS rows at a time, its first
-column through WeightMatrix.p_column, or the diagonal blocks of w through
-WeightMatrix.diag_blocks; only split, the dense diagonal / strictly-lower
-/ strictly-upper partition, forms w.
+through WeightMatrix.row_blocks, its ROWS-row blocks from row 0 down with
+the diagonal blocks of w beside them, or its first column through
+WeightMatrix.p_column; only split, the dense diagonal / strictly-lower /
+strictly-upper partition, forms w.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .special import si
 
 __all__ = ["WeightMatrix", "TriangularSplit", "build_weights", "split"]
 
-# rows of P that p_rows returns at most: the block height of the
-# Gauss-Seidel sweep, of diag_blocks and of dump-weights
+# rows of P in each of WeightMatrix.row_blocks: the block height of the
+# Gauss-Seidel sweep and of dump-weights
 ROWS = 32
 
 
@@ -38,9 +38,9 @@ class WeightMatrix:
     w = P diag(dphi) with P Toeplitz.  The weights are given by the
     generator gen, with gen[k + m - 1] = p_k for k = -(m-1)..m-1; every
     other array here is derived from it on first use and kept, and none is
-    m x m.  p_rows reads up to ROWS rows of P from one stack of shifted
-    copies of gen.  matmul convolves gen with dphi * f by FFT, reusing
-    gen's spectrum.
+    m x m.  row_blocks reads ROWS rows of P at a time from one stack of
+    shifted copies of gen.  matmul convolves gen with dphi * f by FFT,
+    reusing gen's spectrum.
 
     matmul is accurate normwise: the error in column c of w @ f is a few
     eps times max_i (|w| |f|)_ic, so a row whose own (|w| |f|)_ic is much
@@ -60,37 +60,25 @@ class WeightMatrix:
         return self.grid.m
 
     @cached_property
-    def _stack(self) -> np.ndarray:
-        # _stack[r, c] = gen[2m - 2 - c + r] for c >= r: row r is the
+    def row_blocks(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """(i0, P[i0:i1], w[i0:i1, i0:i1]) for i0 = 0, ROWS, 2 ROWS, ... and
+        i1 = min(i0 + ROWS, m), read-only; w[i0:i1] is dphi * P[i0:i1].  The
+        blocks of P are views into one stack of ROWS shifted copies of gen,
+        which BLAS reads in place: unit column stride, row stride 2m - 1."""
+        m, dphi = self.m, self.grid.dphi
+        # stack[r, c] = gen[2m - 2 - c + r] for c >= r: row r is the
         # reversed generator shifted right by r, so row i0 + r of P,
-        # gen[i0 + r - j + m - 1] over j, is _stack[r, m - 1 - i0 + j]
-        m = self.m
+        # gen[i0 + r - j + m - 1] over j, is stack[r, m - 1 - i0 + j]
         padded = np.concatenate([np.zeros(ROWS - 1), self.gen[::-1]])
         stack = np.lib.stride_tricks.sliding_window_view(padded, 2 * m - 1)[::-1].copy()
         stack.flags.writeable = False
-        return stack
-
-    def p_rows(self, i0: int, i1: int) -> np.ndarray:
-        """Rows i0..i1-1 of P (clipped to m), as a read-only view of
-        ROWS x (2m - 1) values that BLAS reads in place: unit column
-        stride, row stride 2m - 1.  0 <= i0 <= i1 <= i0 + ROWS is required.
-        Rows of w are dphi[None, :] * p_rows(i0, i1)."""
-        if not 0 <= i0 <= i1 <= i0 + ROWS:
-            raise ValueError(f"rows {i0}..{i1} need 0 <= i0 <= i1 <= i0 + {ROWS}")
-        m = self.m
-        c0 = m - 1 - min(i0, m - 1)
-        return self._stack[:max(0, min(i1, m) - i0), c0:c0 + m]
-
-    @cached_property
-    def diag_blocks(self) -> list[np.ndarray]:
-        """The diagonal blocks w[i0:i1, i0:i1] = dphi[i0:i1] * P[i0:i1, i0:i1]
-        for i0 = 0, ROWS, 2 ROWS, ... and i1 = min(i0 + ROWS, m), read-only:
-        ROWS m values in all."""
-        dphi = self.grid.dphi
-        blocks = [dphi[i0:i0 + ROWS] * self.p_rows(i0, i0 + ROWS)[:, i0:i0 + ROWS]
-                  for i0 in range(0, self.m, ROWS)]
-        for block in blocks:
-            block.flags.writeable = False
+        blocks = []
+        for i0 in range(0, m, ROWS):
+            i1 = min(i0 + ROWS, m)
+            p_block = stack[:i1 - i0, m - 1 - i0:2 * m - 1 - i0]
+            w_block = dphi[i0:i1] * p_block[:, i0:i1]
+            w_block.flags.writeable = False
+            blocks.append((i0, p_block, w_block))
         return blocks
 
     @property
@@ -189,7 +177,7 @@ def build_weights(grid: DEGrid) -> WeightMatrix:
 def split(wm: WeightMatrix) -> TriangularSplit:
     """Exact partition of the dense w into diagonal, strictly lower and
     strictly upper parts; each entry is the one product dphi[j] * P[i, j]."""
-    w = np.concatenate([wm.grid.dphi * wm.p_rows(i0, i0 + ROWS) for i0 in range(0, wm.m, ROWS)])
+    w = np.concatenate([wm.grid.dphi * p_block for _, p_block, _ in wm.row_blocks])
     return TriangularSplit(
         d=np.diag(w).copy(),
         e=np.tril(w, k=-1),

@@ -268,13 +268,13 @@ class TestAnalyze:
         assert peak < 8 * wm.m**2 / 8
 
     def test_analysis_builds_no_row_stack(self):
-        # mgs_norm_exact reads column 0 of P; the stack behind p_rows and
-        # the diagonal blocks of w are for the sweep and dump-weights only
+        # mgs_norm_exact reads column 0 of P; the row blocks of P and w are
+        # for the sweep and dump-weights only
         tp = example1()
         wm = build_weights(build_grid(tp.problem.iv, 64))
         analyze(wm, tp.problem.lip)
         check_assumptions(tp.problem, wm)
-        assert "_stack" not in vars(wm) and "diag_blocks" not in vars(wm)
+        assert "row_blocks" not in vars(wm)
 
     def test_w_column_matches_check_assumptions(self):
         tp = example2(11)

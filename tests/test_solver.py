@@ -395,7 +395,9 @@ class TestSolve:
 
         prob = IVProblem(rhs=rhs, x_a=np.array([1.0]), iv=Interval(0.0, 1.0))
         g = build_grid(prob.iv, 16)
-        with pytest.raises(NotConvergedError) as err:
+        # numpy warns as the inf turns into NaN in the GS dot product or in
+        # the Jacobi FFT
+        with pytest.warns(RuntimeWarning), pytest.raises(NotConvergedError) as err:
             solve(prob, g, method=method, tol=1e-14, max_sweeps=50)
         assert len(err.value.trace.z_norms) == 1
         assert not math.isfinite(err.value.trace.z_norms[0])
@@ -624,6 +626,25 @@ class TestEvaluate:
         sol, _ = solve(tp.problem, g, tol=1e-12)
         with pytest.raises(ValueError):
             evaluate(sol, 0.6)
+
+    # a 1-element array raised a bare TypeError from math.asinh, a longer
+    # one numpy's "truth value ... ambiguous", and a bool was taken as 0 or 1
+    @pytest.mark.parametrize("t", [np.array([0.25]), np.array([0.1, 0.2]), [0.25], "0.25",
+                                   None, True, np.True_, np.array(True), 0.25 + 0j,
+                                   np.array(0.25 + 0j), np.array(0.25, dtype=object)],
+                             ids=repr)
+    def test_rejects_t_that_is_no_real_scalar(self, t):
+        tp = example1()
+        sol, _ = solve(tp.problem, build_grid(tp.problem.iv, 4), tol=1e-12)
+        with pytest.raises(ValueError, match="t must be a real scalar"):
+            evaluate(sol, t)
+
+    @pytest.mark.parametrize("t", [0, 0.25, np.float64(0.25), np.int64(0), np.array(0.25)],
+                             ids=repr)
+    def test_accepts_real_scalar_t(self, t):
+        tp = example1()
+        sol, _ = solve(tp.problem, build_grid(tp.problem.iv, 4), tol=1e-12)
+        assert np.array_equal(evaluate(sol, t), evaluate(sol, float(t)))
 
 
 class TestReferenceSolution:

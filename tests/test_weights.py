@@ -15,8 +15,8 @@ from oracles import dense_weights, matmul_fsum, row_sum_norm, si_quadrature, wei
 
 
 def all_p_rows(wm):
-    """P as the row blocks that p_rows returns, stacked."""
-    return np.concatenate([wm.p_rows(i0, i0 + ROWS) for i0 in range(0, wm.m, ROWS)])
+    """P as the row blocks of row_blocks, stacked."""
+    return np.concatenate([p_block for _, p_block, _ in wm.row_blocks])
 
 
 def eq35_bound(iv, h, N):
@@ -93,40 +93,27 @@ class TestBuildWeights:
         wm = build_weights(g)
         assert np.all(np.isfinite(dense_weights(wm)))
 
-    # m = 65: whole blocks, the last partial one, inside, at the edges,
-    # past the end and empty
-    @pytest.mark.parametrize("i0, i1", [(0, 32), (32, 64), (64, 96), (64, 65), (40, 41),
-                                        (60, 70), (0, 0), (65, 70)])
-    def test_p_rows_are_rows_of_w(self, i0, i1):
-        g = build_grid(Interval(-1.0, 2.0), 32)
-        wm = build_weights(g)
-        rows = wm.p_rows(i0, i1)
-        # every view is into one ROWS-row stack of at most ROWS (2m - 1 + ROWS)
-        # values, so no m x m array exists
-        base = rows
-        while getattr(base, "base", None) is not None:
-            base = base.base
-        assert base.shape[0] == ROWS and base.size <= ROWS * (2 * wm.m - 1 + ROWS)
-        assert base is wm.p_rows(0, ROWS).base
-        # BLAS reads the rows in place: unit column stride, row stride >= m
-        assert rows.strides[1] == rows.itemsize
-        assert rows.strides[0] >= wm.m * rows.itemsize
-        assert not rows.flags.writeable
-        assert rows.shape == (max(0, min(i1, wm.m) - i0), wm.m)
-        assert np.array_equal(g.dphi * rows, dense_weights(wm)[i0:i1])
-
     @pytest.mark.parametrize("N", [2, 16, 32, 40])
-    def test_diag_blocks_are_diagonal_blocks_of_w(self, N):
+    def test_row_blocks_are_blocks_of_w(self, N):
         # m = 5, 33, 65 and 81: one short block, a whole one and one row,
         # two whole ones and one row, and two whole ones and a partial one
         g = build_grid(Interval(-1.0, 2.0), N)
         wm = build_weights(g)
         w = dense_weights(wm)
-        starts = range(0, g.m, ROWS)
-        assert len(wm.diag_blocks) == len(starts)
-        for i0, block in zip(starts, wm.diag_blocks):
-            assert np.array_equal(block, w[i0:i0 + ROWS, i0:i0 + ROWS])
-            assert not block.flags.writeable
+        assert [i0 for i0, _, _ in wm.row_blocks] == list(range(0, g.m, ROWS))
+        # every block is a view into one ROWS-row stack of at most
+        # ROWS (2m - 1 + ROWS) values, so no m x m array exists
+        stack = wm.row_blocks[0][1].base
+        assert stack.shape[0] == ROWS and stack.size <= ROWS * (2 * g.m - 1 + ROWS)
+        for i0, p_block, w_block in wm.row_blocks:
+            i1 = min(i0 + ROWS, g.m)
+            assert p_block.shape == (i1 - i0, g.m)
+            assert np.array_equal(g.dphi * p_block, w[i0:i1])
+            assert np.array_equal(w_block, w[i0:i1, i0:i1])
+            assert not p_block.flags.writeable and not w_block.flags.writeable
+            # BLAS reads the rows in place: unit column stride, row stride 2m - 1
+            assert p_block.strides == (p_block.itemsize * (2 * g.m - 1), p_block.itemsize)
+            assert p_block.base is stack
 
     def test_p_column_is_column_0_of_p(self):
         g = build_grid(Interval(-1.0, 2.0), 32)
@@ -134,15 +121,6 @@ class TestBuildWeights:
         col = wm.p_column
         assert np.array_equal(col, [g.h * (0.5 + si(math.pi * k) / math.pi) for k in range(g.m)])
         assert np.array_equal(col, all_p_rows(wm)[:, 0]) and not col.flags.writeable
-
-    # at N = 4 (m = 9), p_rows(-2, 9) returned rows 7..8 without an error;
-    # a range of more than ROWS rows is rejected even where m clips it
-    @pytest.mark.parametrize("i0, i1", [(-2, 9), (-1, 0), (5, 4), (0, ROWS + 1), (0, 65),
-                                        (3, 100)])
-    def test_p_rows_rejects_bad_range(self, i0, i1):
-        wm = build_weights(build_grid(Interval(0.0, 1.0), 4))
-        with pytest.raises(ValueError, match="0 <= i0 <= i1"):
-            wm.p_rows(i0, i1)
 
     @pytest.mark.parametrize("shape", [(3,), (8,), (10,), (11,), (9, 1)])
     def test_rejects_generator_of_wrong_shape(self, shape):
