@@ -93,27 +93,46 @@ class TestBuildWeights:
         wm = build_weights(g)
         assert np.all(np.isfinite(dense_weights(wm)))
 
+    # m = 65: whole blocks, the last partial one, inside, at the edges,
+    # past the end and empty
+    @pytest.mark.parametrize("i0, i1", [(0, 32), (32, 64), (64, 96), (64, 65), (40, 41),
+                                        (60, 70), (0, 0), (65, 70)])
+    def test_p_rows_are_rows_of_w(self, i0, i1):
+        g = build_grid(Interval(-1.0, 2.0), 32)
+        wm = build_weights(g)
+        w = dense_weights(wm)
+        # every block is a view into one ROWS-row stack of at most
+        # ROWS (2m - 1 + ROWS) values, so no m x m array exists
+        stack = wm.row_blocks[0][1].base
+        assert stack.shape[0] == ROWS and stack.size <= ROWS * (2 * g.m - 1 + ROWS)
+        read = []
+        for b0, p_block, _ in wm.row_blocks:
+            assert p_block.shape == (min(b0 + ROWS, g.m) - b0, g.m)
+            lo, hi = max(i0, b0), min(i1, b0 + len(p_block))
+            if lo >= hi:
+                continue
+            rows = p_block[lo - b0:hi - b0]
+            assert rows.base is stack and not rows.flags.writeable
+            # BLAS reads the rows in place: unit column stride, row stride 2m - 1
+            assert rows.strides == (rows.itemsize * (2 * g.m - 1), rows.itemsize)
+            assert np.array_equal(g.dphi * rows, w[lo:hi])
+            read.extend(range(lo, hi))
+        assert read == list(range(i0, min(i1, g.m)))
+
     @pytest.mark.parametrize("N", [2, 16, 32, 40])
-    def test_row_blocks_are_blocks_of_w(self, N):
+    def test_diag_blocks_are_diagonal_blocks_of_w(self, N):
         # m = 5, 33, 65 and 81: one short block, a whole one and one row,
         # two whole ones and one row, and two whole ones and a partial one
         g = build_grid(Interval(-1.0, 2.0), N)
         wm = build_weights(g)
         w = dense_weights(wm)
-        assert [i0 for i0, _, _ in wm.row_blocks] == list(range(0, g.m, ROWS))
-        # every block is a view into one ROWS-row stack of at most
-        # ROWS (2m - 1 + ROWS) values, so no m x m array exists
-        stack = wm.row_blocks[0][1].base
-        assert stack.shape[0] == ROWS and stack.size <= ROWS * (2 * g.m - 1 + ROWS)
+        starts = range(0, g.m, ROWS)
+        assert [i0 for i0, _, _ in wm.row_blocks] == list(starts)
         for i0, p_block, w_block in wm.row_blocks:
             i1 = min(i0 + ROWS, g.m)
-            assert p_block.shape == (i1 - i0, g.m)
-            assert np.array_equal(g.dphi * p_block, w[i0:i1])
             assert np.array_equal(w_block, w[i0:i1, i0:i1])
-            assert not p_block.flags.writeable and not w_block.flags.writeable
-            # BLAS reads the rows in place: unit column stride, row stride 2m - 1
-            assert p_block.strides == (p_block.itemsize * (2 * g.m - 1), p_block.itemsize)
-            assert p_block.base is stack
+            assert np.array_equal(w_block, g.dphi[i0:i1] * p_block[:, i0:i1])
+            assert not w_block.flags.writeable
 
     def test_p_column_is_column_0_of_p(self):
         g = build_grid(Interval(-1.0, 2.0), 32)
