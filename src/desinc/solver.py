@@ -5,9 +5,10 @@ solution.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -79,7 +80,7 @@ class IVProblem:
     the right-hand side over the ball of radius rho around the initial
     value (bound_m), and the ball radius itself (rho); they are only used
     by the analysis module, and each must be positive and finite if given.
-    x_a must be a nonempty 1-D array (or a scalar) of finite values.
+    x_a must be a nonempty 1-D array (or a scalar) of finite real values.
     """
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
@@ -90,6 +91,8 @@ class IVProblem:
     rho: float | None = None
 
     def __post_init__(self):
+        if np.iscomplexobj(self.x_a):
+            raise ValueError(f"x_a must be real, got {self.x_a}")
         object.__setattr__(self, "x_a", np.atleast_1d(np.asarray(self.x_a, dtype=float)))
         if self.x_a.ndim != 1 or self.x_a.size == 0:
             raise ValueError(f"x_a must be 1-D and nonempty, got shape {self.x_a.shape}")
@@ -115,12 +118,14 @@ class SincSolution:
     x_a: np.ndarray
 
 
-def _fill_rhs(prob: IVProblem, grid: DEGrid, state: np.ndarray, fvals: np.ndarray) -> None:
-    """Store rhs(t_k, state[k]) into fvals[k] at every node k.  A failing
-    rhs, or a result of another shape than a node row, raises
-    RhsEvaluationError; gauss_seidel_sweep repeats this loop body."""
+def _fill_rhs(prob: IVProblem, grid: DEGrid, rows: Iterable[np.ndarray],
+              fvals: np.ndarray) -> None:
+    """Store rhs(t_k, row k) into fvals[k] at every node k.  rows is state
+    or an iterator over its rows, which zip pulls only after it has stored
+    the last rhs value.  A failing rhs, or a result of another shape than
+    a node row, raises RhsEvaluationError."""
     rhs, shape = prob.rhs, prob.x_a.shape
-    for node, t, row, f_row in zip(range(-grid.N, grid.N + 1), grid.t, state, fvals):
+    for node, t, row, f_row in zip(itertools.count(-grid.N), grid.t, rows, fvals):
         try:
             f = rhs(t, row)
             # the attribute compare costs less than np.shape, which only
@@ -179,35 +184,28 @@ def gauss_seidel_sweep(prob: IVProblem, wm: WeightMatrix, state: np.ndarray,
     dot product of fvals over the block's own columns, with its row of the
     block's diagonal block of w.  So every row is summed in another order
     than by one m-long dot product of the dense w, and node values differ
-    by ulps.
+    by ulps.  Each row is updated as _fill_rhs pulls it.
     """
-    grid = wm.grid
-    _check_sweep_arrays(prob, grid, state, fvals)
-    x_a, N, dphi, ts = prob.x_a, grid.N, grid.dphi, grid.t
-    rhs, shape = prob.rhs, x_a.shape
-    # the rows before the current block hold this sweep's values, the rows
-    # from it on last sweep's
-    g = dphi[:, None] * fvals
-    for i0, p_block, w_block in wm.row_blocks:
-        i1 = i0 + len(p_block)
-        # an empty product (first and last block) is zero
-        acc = x_a + p_block[:, :i0] @ g[:i0] + p_block[:, i1:] @ g[i1:]
-        # a view: its rows before i already hold this sweep's values
-        f_block = fvals[i0:i1]
-        for node, t, acc_i, w_i, row, f_row in zip(range(i0 - N, i1 - N), ts[i0:i1], acc,
-                                                   w_block, state[i0:i1], f_block):
-            # the dot method is np.dot without its dispatch, about 0.2 us
-            # less per call; @ costs more than either
-            np.add(acc_i, w_i.dot(f_block), out=row)
-            # the body of _fill_rhs's loop
-            try:
-                f = rhs(t, row)
-                if getattr(f, "shape", None) != shape and np.shape(f) != shape:
-                    raise ValueError(f"rhs returned shape {np.shape(f)}, expected {shape}")
-                f_row[...] = f
-            except Exception as exc:
-                raise RhsEvaluationError(node, t, exc) from exc
-        np.multiply(dphi[i0:i1, None], f_block, out=g[i0:i1])
+    _check_sweep_arrays(prob, wm.grid, state, fvals)
+    x_a, dphi, add = prob.x_a, wm.grid.dphi, np.add
+
+    def rows():
+        # the rows before the current block hold this sweep's values, the
+        # rows from it on last sweep's
+        g = dphi[:, None] * fvals
+        for i0, p_block, w_block in wm.row_blocks:
+            i1 = i0 + len(p_block)
+            # an empty product (first and last block) is zero
+            acc = x_a + p_block[:, :i0] @ g[:i0] + p_block[:, i1:] @ g[i1:]
+            # a view: its rows before i already hold this sweep's values
+            f_block = fvals[i0:i1]
+            for acc_i, w_i, row in zip(acc, w_block, state[i0:i1]):
+                # add skips a global lookup, .dot np.dot's dispatch; @ is slower
+                add(acc_i, w_i.dot(f_block), out=row)
+                yield row
+            np.multiply(dphi[i0:i1, None], f_block, out=g[i0:i1])
+
+    _fill_rhs(prob, wm.grid, rows(), fvals)
 
 
 def solve(

@@ -100,7 +100,8 @@ def phi_de_inv(t: float, iv: Interval) -> float:
     if not iv.a <= t <= iv.b:
         raise ValueError(f"t = {t} outside interval [{iv.a}, {iv.b}]")
     u_max = math.nextafter(1.0, 0.0)
-    u = min(max((2.0 * t - iv.a - iv.b) / iv.length, -u_max), u_max)
+    # float(t): a float32 t would round u to single precision
+    u = min(max((2.0 * float(t) - iv.a - iv.b) / iv.length, -u_max), u_max)
     return math.asinh(2.0 / math.pi * math.atanh(u))
 
 

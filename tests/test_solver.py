@@ -49,9 +49,10 @@ class TestIVProblem:
             IVProblem(rhs=lv_rhs, x_a=x_a, iv=Interval(0.0, 1.0))
 
     # an empty x_a failed inside solve with numpy's "zero-size array to
-    # reduction operation maximum", and [nan] ran one sweep and then raised
-    # NotConvergedError
-    @pytest.mark.parametrize("x_a", [np.array([]), [], [math.nan], [1.0, math.inf], -math.inf])
+    # reduction operation maximum", [nan] ran one sweep and then raised
+    # NotConvergedError, and [1+1j] was kept as [1.] with a ComplexWarning
+    @pytest.mark.parametrize("x_a", [np.array([]), [], [math.nan], [1.0, math.inf], -math.inf,
+                                     [1 + 1j], np.array([1.0, 2.0], dtype=complex)])
     def test_rejects_x_a_empty_or_not_finite(self, x_a):
         with pytest.raises(ValueError, match="x_a"):
             IVProblem(rhs=lv_rhs, x_a=x_a, iv=Interval(0.0, 1.0))
@@ -241,11 +242,16 @@ class TestGaussSeidelSweep:
         prob = IVProblem(rhs=bad_rhs, x_a=np.array([1.0]), iv=Interval(0.0, 1.0))
         g = build_grid(prob.iv, 4)
         wm = build_weights(g)
+        state = np.ones((g.m, 1))
         with pytest.raises(RhsEvaluationError) as err:
             # rhs = x at the ones up to t = 0.4, so ones are its cache there
-            gauss_seidel_sweep(prob, wm, np.ones((g.m, 1)), np.ones((g.m, 1)))
+            gauss_seidel_sweep(prob, wm, state, np.ones((g.m, 1)))
         assert err.value.t > 0.4
         assert "node" in str(err.value)
+        # the sweep stops at the failing node: no row after it is updated
+        k = err.value.node + g.N
+        assert g.t[k] == err.value.t and not np.all(state[:k + 1] == 1.0)
+        assert np.all(state[k + 1:] == 1.0)
 
 
 def shapes_named(name, m, a):

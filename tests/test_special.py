@@ -157,6 +157,14 @@ class TestPhiDEInv:
         with pytest.raises(ValueError):
             phi_de_inv(1.1, iv)
 
+    # a float32 t was carried into u in single precision: 0.1 gave
+    # -0.42807675181 instead of -0.42807672469
+    @pytest.mark.parametrize("t", [np.float32(0.1), np.array(np.float32(0.1))],
+                             ids=["float32", "0-d float32"])
+    def test_narrow_float_t_in_double_precision(self, t):
+        iv = Interval(0.0, 0.5)
+        assert phi_de_inv(t, iv) == phi_de_inv(float(t), iv)
+
     def test_monotone_growth_vs_bisection(self):
         iv = Interval(0.0, 1.0)
         prev = None

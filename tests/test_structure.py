@@ -3,8 +3,10 @@ reader, weights.py, and np.fft one caller, weights._fft_convolve.  Every
 other module goes through WeightMatrix.row_blocks, p_column, matmul or
 abs_row_sums, so the generator's layout is spelled out in one place, and
 only weights.py names the block height ROWS.  The sweeps share one
-in-place contract: they return nothing.  And the rhs call/check/store
-body that gauss_seidel_sweep inlines stays the one in _fill_rhs."""
+in-place contract: they return nothing.  And solver._fill_rhs is the one
+place that calls a problem's rhs and turns its failure into
+RhsEvaluationError: the Gauss-Seidel sweep hands it the updated rows
+rather than keeping a copy of that loop."""
 
 import ast
 from pathlib import Path
@@ -12,8 +14,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "desinc"
 
 
-def _uses(pred):
-    """(file, enclosing function) for every attribute node that pred
+def _uses(pred, kind=ast.Attribute):
+    """(file, enclosing function) for every node of type kind that pred
     accepts, over the package's modules."""
     found = set()
 
@@ -22,7 +24,7 @@ def _uses(pred):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 walk(child, child.name, path)
             else:
-                if isinstance(child, ast.Attribute) and pred(child):
+                if isinstance(child, kind) and pred(child):
                     found.add((path.name, fn))
                 walk(child, fn, path)
 
@@ -61,12 +63,14 @@ def test_only_weights_names_the_block_height():
     assert names == {"weights.py"}
 
 
-def test_gauss_seidel_inlines_the_rhs_body_of_fill_rhs():
-    tree = ast.parse((SRC / "solver.py").read_text(encoding="utf-8"))
-    fns = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    bodies = []
-    for name in ("_fill_rhs", "gauss_seidel_sweep"):
-        tries = [node for node in ast.walk(fns[name]) if isinstance(node, ast.Try)]
-        assert len(tries) == 1, f"{name} has {len(tries)} try statements"
-        bodies.append(ast.dump(tries[0]))
-    assert bodies[0] == bodies[1]
+def _wraps_rhs_failure(node):
+    """Whether an except clause of the try statement node raises
+    RhsEvaluationError."""
+    return any(isinstance(r, ast.Raise) and isinstance(r.exc, ast.Call)
+               and getattr(r.exc.func, "id", None) == "RhsEvaluationError"
+               for handler in node.handlers for r in ast.walk(handler))
+
+
+def test_only_fill_rhs_calls_the_rhs():
+    assert _uses(lambda a: a.attr == "rhs") == {("solver.py", "_fill_rhs")}
+    assert _uses(_wraps_rhs_failure, kind=ast.Try) == {("solver.py", "_fill_rhs")}
