@@ -84,15 +84,21 @@ def _write_row(fh, values) -> None:
     fh.flush()
 
 
+def _grids(cfg: RunConfig):
+    """The configured problem and its grid per N, ascending, all built
+    before a command opens its output: a bad configuration writes nothing."""
+    tp = problem_from_name(cfg.problem)
+    return tp, [build_grid(tp.problem.iv, n, cfg.h_override) for n in sorted(cfg.n_list)]
+
+
 def cmd_solve(cfg: RunConfig) -> int:
     """Per-N accuracy sweep: solve and compare node values against the
     exact solution."""
-    tp = problem_from_name(cfg.problem)
+    tp, grids = _grids(cfg)
     status = EXIT_OK
     with _open_out(cfg.output) as fh:
         _write_row(fh, ["N", "h", "E1", "sweeps", "converged"])
-        for n in sorted(cfg.n_list):
-            grid = build_grid(tp.problem.iv, n, cfg.h_override)
+        for grid in grids:
             try:
                 sol, trace = solve(tp.problem, grid, method=cfg.method,
                                    tol=cfg.tol, max_sweeps=cfg.max_sweeps)
@@ -100,18 +106,14 @@ def cmd_solve(cfg: RunConfig) -> int:
                 sol, trace = err.solution, err.trace
                 status = EXIT_NOT_CONVERGED
             e1 = float(np.max(np.abs(sol.x_nodes - tp.exact(grid.t))))
-            _write_row(fh, [n, grid.h, e1, len(trace.z_norms), trace.converged])
+            _write_row(fh, [grid.N, grid.h, e1, len(trace.z_norms), trace.converged])
     return status
 
 
 def cmd_trace(cfg: RunConfig) -> int:
     """Per-sweep iteration trace against the 10-sweep reference
     solution."""
-    if len(cfg.n_list) != 1:
-        raise ValueError("trace needs exactly one N")
-    tp = problem_from_name(cfg.problem)
-    n = cfg.n_list[0]
-    grid = build_grid(tp.problem.iv, n, cfg.h_override)
+    tp, (grid,) = _grids(cfg)
     ref = reference_solution(tp.problem, grid)
     _, trace = solve(tp.problem, grid, method=cfg.method, tol=0.0,
                      max_sweeps=cfg.max_sweeps, store_iterates=True)
@@ -125,19 +127,18 @@ def cmd_trace(cfg: RunConfig) -> int:
 
 def cmd_analyze(cfg: RunConfig) -> int:
     """Per-N convergence analysis rows, plus the assumption flags."""
-    tp = problem_from_name(cfg.problem)
+    tp, grids = _grids(cfg)
     if tp.problem.lip is None:
         raise ValueError(f"problem {cfg.problem!r} supplies no Lipschitz constant")
     lip = tp.problem.lip
     with _open_out(cfg.output) as fh:
         _write_row(fh, ["N", "h", "L", "b_minus_a", "e_norm", "df_norm", "w", "mgs_norm",
                         "mgs_bound", "contraction", "cond_iii_ok", "cond_lbound_ok"])
-        for n in sorted(cfg.n_list):
-            grid = build_grid(tp.problem.iv, n, cfg.h_override)
+        for grid in grids:
             wm = build_weights(grid)
             res = analyze(wm, lip)
             rep = check_assumptions(tp.problem, wm)
-            _write_row(fh, [n, grid.h, lip, grid.iv.length, res.e_norm, res.df_norm, res.w,
+            _write_row(fh, [grid.N, grid.h, lip, grid.iv.length, res.e_norm, res.df_norm, res.w,
                             res.mgs_norm, "" if res.mgs_bound is None else res.mgs_bound,
                             res.contraction, rep.cond_iii_ok, rep.cond_lbound_ok])
     return EXIT_OK
@@ -146,12 +147,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
 def cmd_dump_weights(cfg: RunConfig) -> int:
     """Dump the weight matrix, one row per line, full-precision scientific
     notation."""
-    if len(cfg.n_list) != 1:
-        raise ValueError("dump-weights needs exactly one N")
-    if cfg.plot_script is not None:
-        raise ValueError("dump-weights writes no plot script; drop --plot-script")
-    tp = problem_from_name(cfg.problem)
-    grid = build_grid(tp.problem.iv, cfg.n_list[0], cfg.h_override)
+    _, (grid,) = _grids(cfg)
     wm = build_weights(grid)
     with _open_out(cfg.output) as fh:
         # row blocks of w = P diag(dphi), so the m x m matrix is never formed
@@ -179,13 +175,13 @@ plt.savefig({csv!r} + ".png", dpi=150)
 """
 
 
-# name -> (command, its --help line, the (x, y) columns of its plot
-# script, or None where the command rejects --plot-script itself)
+# name -> (command, its --help line, whether it takes exactly one N, the
+# (x, y) columns of its plot script or None where it writes none)
 _COMMANDS = {
-    "solve": (cmd_solve, "accuracy sweep over N", ("N", "E1")),
-    "trace": (cmd_trace, "per-sweep iteration trace at a single N", ("nu", "E2")),
-    "analyze": (cmd_analyze, "convergence analysis over N", ("N", "mgs_norm")),
-    "dump-weights": (cmd_dump_weights, "dump the dense weight matrix as CSV", None),
+    "solve": (cmd_solve, "accuracy sweep over N", False, ("N", "E1")),
+    "trace": (cmd_trace, "per-sweep iteration trace at a single N", True, ("nu", "E2")),
+    "analyze": (cmd_analyze, "convergence analysis over N", False, ("N", "mgs_norm")),
+    "dump-weights": (cmd_dump_weights, "dump the dense weight matrix as CSV", True, None),
 }
 
 # Every option in --help order: flag -> (the RunConfig field it sets, which
@@ -210,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="DE Sinc-collocation IVP solver and Gauss-Seidel convergence analysis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, _) in _COMMANDS.items():
+    for name, (_, help_text, _, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, (_, kwargs) in _OPTIONS.items():
             p.add_argument(flag, **kwargs)
@@ -272,7 +268,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        command, _, plot_cols = _COMMANDS[args.command]
+        command, _, one_n, plot_cols = _COMMANDS[args.command]
+        if one_n and len(cfg.n_list) != 1:
+            raise ValueError(f"{args.command} needs exactly one N")
+        if plot_cols is None and cfg.plot_script is not None:
+            raise ValueError(f"{args.command} writes no plot script; drop --plot-script")
         status = command(cfg)
         # written after a non-convergence too, since the CSV holds every row
         if cfg.plot_script is not None:
@@ -280,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(cfg.plot_script, "w", encoding="utf-8") as fh:
                 fh.write(_PLOT_TEMPLATE.format(script=cfg.plot_script, csv=cfg.output, x=x, y=y))
         return status
-    except (ValueError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

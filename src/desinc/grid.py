@@ -46,6 +46,8 @@ def build_grid(iv: Interval, N: int, h: float | None = None) -> DEGrid:
     check_count("N", N, 2)
     h = default_step(N) if h is None else h
     check_positive_finite("h", h)
+    if not math.isfinite(float(N) * float(h)):  # numpy scalars would warn on overflow
+        raise ValueError(f"h must be small enough that N*h is finite, got {h} at N = {N}")
     j = np.arange(-N, N + 1, dtype=float)
     s = j * h
     t = phi_de(s, iv)

@@ -100,11 +100,6 @@ class TestTraceCommand:
             cols[n] = [float(r[1]) for r in read_csv(out)[1:]]
         assert np.allclose(cols[11], cols[101], atol=1e-12)
 
-    def test_requires_single_n(self, tmp_path):
-        rc = main(["trace", "--problem", "example1", "--n", "8,16",
-                   "--out", str(tmp_path / "x.csv")])
-        assert rc == EXIT_BAD_CONFIG
-
 
 class TestAnalyzeCommand:
     def test_example1_values(self, tmp_path):
@@ -378,10 +373,43 @@ class TestConfigHandling:
         assert capsys.readouterr() == ("", "error: --plot-script names the --out file 'out.csv': "
                                            "the script would overwrite the CSV\n")
 
-    def test_plot_script_rejected_by_dump_weights(self, tmp_path, capsys):
-        out, script = tmp_path / "w.csv", tmp_path / "plot.py"
-        rc = main(["dump-weights", "--problem", "example1", "--n", "4",
-                   "--out", str(out), "--plot-script", str(script)])
+    @pytest.mark.parametrize("via", ["flags", "config"])
+    def test_plot_script_rejected_by_dump_weights(self, tmp_path, monkeypatch, capsys, via):
+        monkeypatch.chdir(tmp_path)
+        if via == "flags":
+            argv = ["--out", "w.csv", "--plot-script", "plot.py"]
+        else:
+            Path("cfg.json").write_text(json.dumps({"output": "w.csv", "plot_script": "plot.py"}))
+            argv = ["--config", "cfg.json"]
+        rc = main(["dump-weights", "--problem", "example1", "--n", "4", *argv])
         assert rc == EXIT_BAD_CONFIG
-        assert not out.exists() and not script.exists()
-        assert capsys.readouterr().err.startswith("error: dump-weights writes no plot script")
+        assert not Path("w.csv").exists() and not Path("plot.py").exists()
+        assert capsys.readouterr() == ("", "error: dump-weights writes no plot script; "
+                                           "drop --plot-script\n")
+
+    @pytest.mark.parametrize("via", ["flags", "config"])
+    @pytest.mark.parametrize("command", ["trace", "dump-weights"])
+    def test_requires_single_n(self, tmp_path, monkeypatch, capsys, command, via):
+        monkeypatch.chdir(tmp_path)
+        if via == "flags":
+            argv = ["--n", "8,16", "--out", "x.csv"]
+        else:
+            Path("cfg.json").write_text(json.dumps({"n_list": [8, 16], "output": "x.csv"}))
+            argv = ["--config", "cfg.json"]
+        assert main([command, "--problem", "example1", *argv]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr() == ("", f"error: {command} needs exactly one N\n")
+        # a direct call, which main's check does not guard, still refuses
+        with pytest.raises(ValueError):
+            cli._COMMANDS[command][0](RunConfig(n_list=[8, 16], output="x.csv"))
+        assert not Path("x.csv").exists()
+
+    def test_overflowing_step_writes_nothing(self, tmp_path, capsys):
+        # N*h = 6.4e308 made s = j*h infinite at N = 64: the CSV got a
+        # header and NaN rows, with RuntimeWarnings, and the exit code was 1
+        out = tmp_path / "out.csv"
+        for target in (str(out), "-"):
+            rc = main(["solve", "--n", "8,64", "--h", "1e307", "--out", target])
+            assert rc == EXIT_BAD_CONFIG
+            assert capsys.readouterr() == ("", "error: h must be small enough that N*h is "
+                                               "finite, got 1e+307 at N = 64\n")
+        assert not out.exists()

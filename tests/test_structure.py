@@ -6,7 +6,8 @@ only weights.py names the block height ROWS.  The sweeps share one
 in-place contract: they return nothing.  And solver._fill_rhs is the one
 place that calls a problem's rhs and turns its failure into
 RhsEvaluationError: the Gauss-Seidel sweep hands it the updated rows
-rather than keeping a copy of that loop."""
+rather than keeping a copy of that loop.  In the CLI, cli._grids alone
+builds the problem and the grids, before any command opens its output."""
 
 import ast
 from pathlib import Path
@@ -74,3 +75,9 @@ def _wraps_rhs_failure(node):
 def test_only_fill_rhs_calls_the_rhs():
     assert _uses(lambda a: a.attr == "rhs") == {("solver.py", "_fill_rhs")}
     assert _uses(_wraps_rhs_failure, kind=ast.Try) == {("solver.py", "_fill_rhs")}
+
+
+def test_only_grids_builds_the_cli_problem_and_grids():
+    callers = _uses(lambda c: getattr(c.func, "id", None) in ("problem_from_name", "build_grid"),
+                    kind=ast.Call)
+    assert {fn for path, fn in callers if path == "cli.py"} == {"_grids"}
