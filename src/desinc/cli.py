@@ -30,7 +30,7 @@ EXIT_NOT_CONVERGED = 1
 EXIT_BAD_CONFIG = 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     problem: str = "example1"
     n_list: list[int] = field(default_factory=lambda: [64])
@@ -41,7 +41,8 @@ class RunConfig:
     output: str = "-"
     plot_script: str | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        # checked when built, so no cmd_* call runs what main rejects
         if not self.n_list:
             raise ValueError("N list must be nonempty")
         for n in self.n_list:
@@ -236,11 +237,18 @@ def _check_config_value(key: str, val) -> None:
         raise ValueError(f"config key {key!r} must be {expected}, got {json.dumps(val)}")
 
 
+def _parse_n(item: str) -> int:
+    try:
+        return int(item)
+    except ValueError:
+        raise ValueError(f"N must be an integer of at least 2, got {item!r}") from None
+
+
 def _load_config(args: argparse.Namespace) -> RunConfig:
     # argparse stores --max-sweeps as args.max_sweeps
     flags = {key: getattr(args, flag[2:].replace("-", "_"))
              for flag, (key, _) in _OPTIONS.items() if key is not None}
-    cfg = RunConfig()
+    data = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -251,17 +259,12 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, val in data.items():
             _check_config_value(key, val)
-            setattr(cfg, key, val)
-    for key, val in flags.items():
-        if val is None:
-            continue
-        if key == "n_list":
-            # parsed here, not by argparse, so that a malformed list is an
-            # invalid configuration (exit 2) rather than a usage error
-            val = [int(v) for v in val.split(",") if v]
-        setattr(cfg, key, val)
-    cfg.validate()
-    return cfg
+    if flags["n_list"] is not None:
+        # parsed here, not by argparse, so that a malformed list is an
+        # invalid configuration (exit 2) rather than a usage error
+        flags["n_list"] = [_parse_n(v) for v in flags["n_list"].split(",") if v]
+    data.update((key, val) for key, val in flags.items() if val is not None)
+    return RunConfig(**data)
 
 
 def main(argv: list[str] | None = None) -> int:

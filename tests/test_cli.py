@@ -250,6 +250,18 @@ def test_stdout_matches_file_output(tmp_path, capsys, argv):
     assert not sys.stdout.closed
 
 
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_help_keeps_short_metavars(capsys, command):
+    # argparse names a metavar after its dest: the options keep the dests
+    # of their flags (args.n), not of their RunConfig fields (n_list)
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    usage = capsys.readouterr().out
+    for item in ("[--n N]", "[--h H]", "[--out OUT]"):
+        assert item in usage
+
+
 class TestConfigHandling:
     @pytest.mark.parametrize("flag, key, file_val, flag_val, flag_cfg_val",
                              [pytest.param(*case, id=case[0]) for case in FLAG_CASES])
@@ -265,6 +277,43 @@ class TestConfigHandling:
 
         assert getattr(load(flag, flag_val), key) == flag_cfg_val  # the flag wins
         assert getattr(load(), key) == file_val  # an unset flag keeps the file value
+
+    @pytest.mark.parametrize("n_arg, item", [("abc", "abc"), ("8,x", "x")])
+    def test_non_integer_n_names_the_item(self, capsys, n_arg, item):
+        # int()'s own message used to reach stderr
+        assert main(["solve", "--n", n_arg]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr() == ("", "error: N must be an integer of at least 2, "
+                                           f"got {item!r}\n")
+
+    @pytest.mark.parametrize("data, message", [
+        pytest.param({"n_list": [8], "tol": 0.0}, "tol must be positive and finite, got 0.0",
+                     id="tol-zero"),
+        pytest.param({"n_list": []}, "N list must be nonempty", id="n_list-empty"),
+        pytest.param({"method": "bogus"}, "unknown method 'bogus'", id="method-unknown"),
+        pytest.param({"plot_script": "p.py"},
+                     "--plot-script needs --out FILE: the script reads the CSV file",
+                     id="plot_script-to-stdout"),
+        pytest.param({"output": "a.csv", "plot_script": "a.csv"},
+                     "--plot-script names the --out file 'a.csv': "
+                     "the script would overwrite the CSV", id="plot_script-is-output"),
+    ])
+    def test_invalid_config_cannot_be_built(self, tmp_path, monkeypatch, capsys, data, message):
+        # a direct cmd_solve call used to run the first three: 50 sweeps and
+        # exit 0 unconverged at tol 0, or a header and then exit 0 or a raise
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError) as err:
+            RunConfig(**data)
+        assert str(err.value) == message
+        Path("cfg.json").write_text(json.dumps(data))
+        assert main(["solve", "--config", "cfg.json"]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert os.listdir() == ["cfg.json"]
+
+    def test_config_is_frozen(self):
+        cfg = RunConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.tol = 1e-10
+        assert not hasattr(RunConfig, "validate")
 
     def test_invalid_inputs_exit_2(self, tmp_path):
         assert main(["solve", "--problem", "nope", "--out", "-"]) == EXIT_BAD_CONFIG

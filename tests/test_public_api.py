@@ -82,7 +82,9 @@ def test_no_size_parameter(obj):
 
 # Every positive-finite and integer-count parameter of the public entry
 # points and of the CLI's RunConfig: (callable, parameter, the call with
-# that parameter set to v).  The callable is only the test id.
+# that parameter set to v).  The callable is only the test id; RunConfig's
+# rows keep the ids of its former validate(), whose checks it now runs
+# when built.
 IV = Interval(0.0, 0.5)
 WM = build_weights(build_grid(IV, 4))
 POSITIVE_FINITE = [
@@ -97,8 +99,8 @@ POSITIVE_FINITE = [
     ("j_kernel", "h", lambda v: j_kernel(0, v, 0.0)),
     ("convergence_factor_observed", "z_norms",
      lambda v: convergence_factor_observed(IterationTrace(z_norms=[v, 0.1, 0.01, 1e-3]))),
-    ("RunConfig.validate", "tol", lambda v: RunConfig(tol=v).validate()),
-    ("RunConfig.validate", "h", lambda v: RunConfig(h_override=v).validate()),
+    ("RunConfig.validate", "tol", lambda v: RunConfig(tol=v)),
+    ("RunConfig.validate", "h", lambda v: RunConfig(h_override=v)),
 ]
 COUNTS = [
     ("build_grid", "N", lambda v: build_grid(IV, v)),
@@ -107,8 +109,8 @@ COUNTS = [
     ("lv_random", "seed", lambda v: lv_random(3, seed=v)),
     ("example2", "n", lambda v: example2(v)),
     ("solve", "max_sweeps", lambda v: solve(example1().problem, WM.grid, max_sweeps=v)),
-    ("RunConfig.validate", "N", lambda v: RunConfig(n_list=[v]).validate()),
-    ("RunConfig.validate", "max-sweeps", lambda v: RunConfig(max_sweeps=v).validate()),
+    ("RunConfig.validate", "N", lambda v: RunConfig(n_list=[v])),
+    ("RunConfig.validate", "max-sweeps", lambda v: RunConfig(max_sweeps=v)),
 ]
 
 

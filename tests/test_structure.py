@@ -7,7 +7,8 @@ in-place contract: they return nothing.  And solver._fill_rhs is the one
 place that calls a problem's rhs and turns its failure into
 RhsEvaluationError: the Gauss-Seidel sweep hands it the updated rows
 rather than keeping a copy of that loop.  In the CLI, cli._grids alone
-builds the problem and the grids, before any command opens its output."""
+builds the problem and the grids, before any command opens its output, and
+a RunConfig is built once, never assigned to or validated afterwards."""
 
 import ast
 from pathlib import Path
@@ -81,3 +82,11 @@ def test_only_grids_builds_the_cli_problem_and_grids():
     callers = _uses(lambda c: getattr(c.func, "id", None) in ("problem_from_name", "build_grid"),
                     kind=ast.Call)
     assert {fn for path, fn in callers if path == "cli.py"} == {"_grids"}
+
+
+def test_cli_builds_its_config_once():
+    # RunConfig checks itself when built, so assigning a field after the
+    # checks, or checking again, would let a bad value through or repeat them
+    calls = _uses(lambda c: getattr(c.func, "id", None) == "setattr"
+                  or getattr(c.func, "attr", None) == "validate", kind=ast.Call)
+    assert {fn for path, fn in calls if path == "cli.py"} == set()
