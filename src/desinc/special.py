@@ -2,9 +2,11 @@
 double-exponential variable transform with its derivative, inverse and
 indefinite-integration kernel.
 
-Si is scipy.special.sici's, so scipy.special is the one scipy subpackage
-that `import desinc` loads; scipy.linalg loads on the first Toda exact
-solution.  All functions are pure and thread-safe.
+Si is a port of the Si half of Cephes' sici, the algorithm that
+scipy.special.sici runs, and equals sici(x)[0] bit for bit; so
+`import desinc` loads numpy and no scipy module, and scipy.linalg loads
+on the first Toda exact solution.  All functions are pure and
+thread-safe.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import sici
 
 __all__ = [
     "Interval",
@@ -58,9 +59,123 @@ class Interval:
         return 0.5 * (self.a + self.b)
 
 
+_HALF_PI = 0.5 * math.pi
+
+
 def si(x: float) -> float:
-    """Sine integral Si(x) = int_0^x sin(t)/t dt, from scipy.special.sici."""
-    return float(sici(x)[0])
+    """Sine integral Si(x) = int_0^x sin(t)/t dt of one real x, as a float.
+
+    The Si half of Cephes' sici, the algorithm behind
+    scipy.special.sici, with its coefficients and Horner order, so the
+    result is sici(x)[0] bit for bit: x * SN(x^2) / SD(x^2) for |x| <= 4,
+    and pi/2 - f cos x - g sin x beyond, where f and g are rational in
+    z = 1/x^2 with one set of coefficients below 8 and another from 8 on.
+    Si(-x) = -Si(x) exactly; Si(+-0) = +0.0, Si(+-inf) = +-pi/2, and NaN
+    gives NaN.  x is converted with float() first, so a float32 x is
+    evaluated in double precision.
+    """
+    # Each Horner chain is written out with Cephes' SN, SD, FN4, FD4, GN4,
+    # GD4, FN8, FD8, GN8 and GD8 (the denominators FD* and GD* are monic):
+    # a loop over coefficient tuples costs about twice as much per call,
+    # and si runs once per node in evaluate.  Cephes' own x > 1e9 branch
+    # falls through to the asymptotic one, so it has no counterpart here.
+    x = float(x)
+    a = abs(x)
+    if a == 0.0:
+        return 0.0
+    if a <= 4.0:
+        z = a * a
+        sn = (((((-8.39167827910303881427e-11 * z
+                 + 4.62591714427012837309e-8) * z
+                - 9.75759303843632795789e-6) * z
+               + 9.76945438170435310816e-4) * z
+              - 4.13470316229406538752e-2) * z
+             + 1.00000000000000000302e0)
+        sd = (((((2.03269266195951942049e-12 * z
+                 + 1.27997891179943299903e-9) * z
+                + 4.41827842801218905784e-7) * z
+               + 9.96412122043875552487e-5) * z
+              + 1.42085239326149893930e-2) * z
+             + 9.99999999999999996984e-1)
+        s = a * sn / sd
+    elif a == math.inf:
+        s = _HALF_PI
+    else:
+        z = 1.0 / (a * a)
+        if a < 8.0:
+            fn = ((((((4.23612862892216586994e0 * z
+                      + 5.45937717161812843388e0) * z
+                     + 1.62083287701538329132e0) * z
+                    + 1.67006611831323023771e-1) * z
+                   + 6.81020132472518137426e-3) * z
+                  + 1.08936580650328664411e-4) * z
+                 + 5.48900223421373614008e-7)
+            fd = (((((((z
+                       + 8.16496634205391016773e0) * z
+                      + 7.30828822505564552187e0) * z
+                     + 1.86792257950184183883e0) * z
+                    + 1.78792052963149907262e-1) * z
+                   + 7.01710668322789753610e-3) * z
+                  + 1.10034357153915731354e-4) * z
+                 + 5.48900252756255700982e-7)
+            gn = (((((((8.71001698973114191777e-2 * z
+                       + 6.11379109952219284151e-1) * z
+                      + 3.97180296392337498885e-1) * z
+                     + 7.48527737628469092119e-2) * z
+                    + 5.38868681462177273157e-3) * z
+                   + 1.61999794598934024525e-4) * z
+                  + 1.97963874140963632189e-6) * z
+                 + 7.82579040744090311069e-9)
+            gd = (((((((z
+                       + 1.64402202413355338886e0) * z
+                      + 6.66296701268987968381e-1) * z
+                     + 9.88771761277688796203e-2) * z
+                    + 6.22396345441768420760e-3) * z
+                   + 1.73221081474177119497e-4) * z
+                  + 2.02659182086343991969e-6) * z
+                 + 7.82579218933534490868e-9)
+        else:
+            fn = ((((((((4.55880873470465315206e-1 * z
+                        + 7.13715274100146711374e-1) * z
+                       + 1.60300158222319456320e-1) * z
+                      + 1.16064229408124407915e-2) * z
+                     + 3.49556442447859055605e-4) * z
+                    + 4.86215430826454749482e-6) * z
+                   + 3.20092790091004902806e-8) * z
+                  + 9.41779576128512936592e-11) * z
+                 + 9.70507110881952024631e-14)
+            fd = ((((((((z
+                        + 9.17463611873684053703e-1) * z
+                       + 1.78685545332074536321e-1) * z
+                      + 1.22253594771971293032e-2) * z
+                     + 3.58696481881851580297e-4) * z
+                    + 4.92435064317881464393e-6) * z
+                   + 3.21956939101046018377e-8) * z
+                  + 9.43720590350276732376e-11) * z
+                 + 9.70507110881952025725e-14)
+            gn = ((((((((6.97359953443276214934e-1 * z
+                        + 3.30410979305632063225e-1) * z
+                       + 3.84878767649974295920e-2) * z
+                      + 1.71718239052347903558e-3) * z
+                     + 3.48941165502279436777e-5) * z
+                    + 3.47131167084116673800e-7) * z
+                   + 1.70404452782044526189e-9) * z
+                  + 3.85945925430276600453e-12) * z
+                 + 3.14040098946363334640e-15)
+            gd = (((((((((z
+                         + 1.68548898811011640017e0) * z
+                        + 4.87852258695304967486e-1) * z
+                       + 4.67913194259625806320e-2) * z
+                      + 1.90284426674399523638e-3) * z
+                     + 3.68475504442561108162e-5) * z
+                    + 3.57043223443740838771e-7) * z
+                   + 1.72693748966316146736e-9) * z
+                  + 3.87830166023954706752e-12) * z
+                 + 3.14040098946363335242e-15)
+        f = fn / (a * fd)
+        g = z * gn / gd
+        s = _HALF_PI - f * math.cos(a) - g * math.sin(a)
+    return -s if x < 0.0 else s
 
 
 def phi_de(s, iv: Interval):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import sici
 
 from desinc.grid import build_grid
 from desinc.solver import IVProblem, evaluate, solve
@@ -62,6 +63,39 @@ class TestSi:
 
     def test_large_argument_limit(self):
         assert si(1e8) == pytest.approx(math.pi / 2, abs=1e-7)
+
+    def test_bit_identical_to_scipy_sici(self):
+        # si ports the algorithm behind scipy.special.sici, so it must
+        # reproduce every bit, the sign of zero included: at the weights'
+        # points pi*k, at dense random points, at both branch edges and
+        # their neighbouring floats, and at zeros, subnormals, huge values,
+        # infinities and NaN
+        rng = np.random.default_rng(25)
+        edges = [e for x in (4.0, 8.0) for e in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
+        xs = np.concatenate([
+            math.pi * np.arange(-20000, 20001),
+            rng.uniform(-10.0, 10.0, 100_000),
+            rng.uniform(-1e4, 1e4, 100_000),
+            edges, np.negative(edges),
+            [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+             1e9, -1e9, 1e300, -1e300, math.inf, -math.inf, math.nan],
+        ])
+        got = np.array([si(float(x)) for x in xs])
+        ref = sici(xs)[0]
+        same = (got.view(np.uint64) == ref.view(np.uint64)) | (np.isnan(got) & np.isnan(ref))
+        assert same.all(), xs[~same][:10]
+
+    @settings(max_examples=500, deadline=None)
+    @given(x=st.floats(allow_nan=False))
+    def test_bit_identical_to_scipy_sici_anywhere(self, x):
+        assert np.float64(si(x)).view(np.uint64) == np.float64(sici(x)[0]).view(np.uint64)
+
+    # scipy's float32 loop ran on a float32 x: si(np.float32(2.5)) gave
+    # 1.7785202264785767 instead of 1.7785201734438267
+    @pytest.mark.parametrize("x", [np.float32(2.5), np.array(np.float32(2.5))],
+                             ids=["float32", "0-d float32"])
+    def test_narrow_float_x_in_double_precision(self, x):
+        assert si(x) == si(float(x)) == 1.7785201734438267
 
 
 class TestPhiDE:
