@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import IterationTrace, IVProblem
-from .special import Interval, check_count, check_positive_finite
+from .special import Interval, check_count, check_positive_finite, is_number
 from .weights import WeightMatrix, _fft_convolve
 
 __all__ = [
@@ -187,7 +187,7 @@ def convergence_factor_observed(trace: IterationTrace) -> float:
         raise ValueError("need at least 3 difference norms to estimate a factor")
     check_positive_finite("z_norms[0]", z[0])
     for k, v in enumerate(z[1:], 1):
-        if not 0.0 <= v < math.inf:
+        if not (is_number(v) and 0.0 <= v < math.inf):
             raise ValueError(f"z_norms[{k}] must be nonnegative and finite, got {v}")
     floor = _ROUNDOFF_FLOOR * np.finfo(float).eps * z[0]
     ratios = [z[k + 1] / z[k] for k in range(len(z) - 1)

@@ -20,7 +20,7 @@ from .grid import build_grid
 from .problems import problem_from_name
 from .solver import (DEFAULT_MAX_SWEEPS, DEFAULT_TOL, METHODS, NotConvergedError,
                      reference_solution, solve)
-from .special import check_count, check_positive_finite
+from .special import check_count, check_positive_finite, is_number
 from .weights import build_weights
 
 __all__ = ["RunConfig", "cmd_solve", "cmd_trace", "cmd_analyze", "cmd_dump_weights", "main"]
@@ -43,6 +43,12 @@ class RunConfig:
 
     def __post_init__(self):
         # checked when built, so no cmd_* call runs what main rejects
+        for name in ("problem", "output", "plot_script"):
+            val = getattr(self, name)
+            if not (isinstance(val, str) or val is None and name == "plot_script"):
+                raise ValueError(f"{name} must be a string, got {val!r}")
+        if not isinstance(self.n_list, list):
+            raise ValueError(f"n_list must be a list, got {self.n_list!r}")
         if not self.n_list:
             raise ValueError("N list must be nonempty")
         for n in self.n_list:
@@ -214,25 +220,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _has_type(val, kind: type) -> bool:
-    # JSON true/false load as bool, a subclass of int, and are no number
-    # here; a float field also takes an integer
-    if isinstance(val, bool):
-        return False
-    return isinstance(val, (int, float) if kind is float else kind)
-
-
 def _check_config_value(key: str, val) -> None:
     """Reject a config-file value whose JSON type does not fit its field:
     the type its flag parses to (a list of integers for n_list), or null
     where the field defaults to None."""
     if key == "n_list":
         expected = "a list of integers"
-        ok = isinstance(val, list) and all(_has_type(v, int) for v in val)
+        ok = isinstance(val, list) and all(is_number(v, integer=True) for v in val)
     else:
         kind = next(kw.get("type", str) for k, kw in _OPTIONS.values() if k == key)
         expected = {str: "a string", int: "an integer", float: "a number"}[kind]
-        ok = _has_type(val, kind) or (val is None and getattr(RunConfig(), key) is None)
+        # JSON true/false load as bool, which is no number; a float field takes an int
+        ok = (isinstance(val, str) if kind is str else is_number(val, integer=kind is int)) or (
+            val is None and getattr(RunConfig(), key) is None)
     if not ok:
         raise ValueError(f"config key {key!r} must be {expected}, got {json.dumps(val)}")
 

@@ -27,15 +27,23 @@ __all__ = [
 
 
 # the input rules of every public entry point and of the CLI (not exported)
+def is_number(v, integer: bool = False) -> bool:
+    """Whether v is a Python or numpy int or, unless integer, a float or a
+    0-d array of an int or float; a bool is no number."""
+    return not isinstance(v, bool) and (isinstance(v, (int, np.integer)) or not integer and (
+        isinstance(v, (float, np.floating))
+        or isinstance(v, np.ndarray) and v.ndim == 0 and v.dtype.kind in "iuf"))
+
+
 def check_positive_finite(name: str, v) -> None:
-    """Raise ValueError unless v is positive and finite."""
-    if not 0.0 < v < math.inf:
+    """Raise ValueError unless v is a number, positive and finite."""
+    if not (is_number(v) and 0.0 < v < math.inf):
         raise ValueError(f"{name} must be positive and finite, got {v}")
 
 
 def check_count(name: str, v, k: int) -> None:
-    """Raise ValueError unless v is an int or numpy integer, not a bool, of at least k."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < k:
+    """Raise ValueError unless v is an integer number of at least k."""
+    if not (is_number(v, integer=True) and v >= k):
         raise ValueError(f"{name} must be an integer of at least {k}, got {v!r}")
 
 
@@ -47,6 +55,8 @@ class Interval:
     b: float
 
     def __post_init__(self):
+        if not (is_number(self.a) and is_number(self.b)):
+            raise ValueError(f"ends of interval [{self.a!r}, {self.b!r}] must be real numbers")
         # b - a is finite only if a and b are, and positive only if a < b
         check_positive_finite(f"length of interval [{self.a}, {self.b}]", self.b - self.a)
 
@@ -209,8 +219,7 @@ def phi_de_inv(t: float, iv: Interval) -> float:
     interval, including one far from 0 where (b - a) * eps is below an ulp
     of t.
     """
-    if isinstance(t, bool) or not isinstance(t, (int, float, np.integer, np.floating)) and not (
-            isinstance(t, np.ndarray) and t.ndim == 0 and t.dtype.kind in "iuf"):
+    if not is_number(t):
         raise ValueError(f"t must be a real scalar, got {t!r}")
     if not iv.a <= t <= iv.b:
         raise ValueError(f"t = {t} outside interval [{iv.a}, {iv.b}]")
@@ -226,7 +235,7 @@ def j_kernel(j: int, h: float, s: float) -> float:
     Tends to 0 as s -> -inf and to h as s -> +inf; not monotone in between
     because the sine integral oscillates.
     """
-    # check_positive_finite's test inline: it runs once per node per evaluate
-    if not 0.0 < h < math.inf:
+    # check_positive_finite inline, as it runs once per node per evaluate
+    if h.__class__ is not float and not is_number(h) or not 0.0 < h < math.inf:
         raise ValueError(f"h must be positive and finite, got {h}")
     return h * (0.5 + si(math.pi * (s - j * h) / h) / math.pi)

@@ -56,13 +56,13 @@ _last_dense: tuple = (None, None)
 
 def dense_weights(wm) -> np.ndarray:
     """The m x m weights w[i, j] = dphi[j] * gen[i - j + m - 1] of a
-    WeightMatrix, entry by entry.  The array is read-only, since it is
-    kept for the next call with the same wm."""
+    WeightMatrix, each entry that one product, gathered by index grids.
+    The array is read-only, since it is kept for the next call with the
+    same wm."""
     global _last_dense
     if _last_dense[0] is not wm:
-        m, gen, dphi = wm.m, wm.gen.tolist(), wm.grid.dphi.tolist()
-        w = np.array([[dphi[j] * gen[i - j + m - 1] for j in range(m)] for i in range(m)],
-                     dtype=float)
+        i, j = np.ogrid[:wm.m, :wm.m]
+        w = wm.grid.dphi[j] * wm.gen[i - j + wm.m - 1]
         w.flags.writeable = False
         _last_dense = (wm, w)
     return _last_dense[1]

@@ -211,7 +211,10 @@ class TestConvergenceFactorObserved:
         assert factor == convergence_factor_observed(IterationTrace(z_norms=z[:13]))
         assert factor == pytest.approx(0.0423, abs=5e-5)
 
-    @pytest.mark.parametrize("v", [-1.0, math.nan, math.inf])
+    # a bool was taken for 1, a string, None or complex norm raised
+    # TypeError and an array numpy's ambiguity error
+    @pytest.mark.parametrize("v", [-1.0, math.nan, math.inf, True, "1", None, 1j,
+                                   np.array([0.1, 0.2])], ids=repr)
     def test_rejects_negative_or_non_finite_later_norm(self, v):
         with pytest.raises(ValueError, match=r"z_norms\[2\] must be nonnegative and finite"):
             convergence_factor_observed(IterationTrace(z_norms=[1.0, 0.1, v, 1e-3]))

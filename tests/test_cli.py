@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import json
@@ -311,6 +312,42 @@ class TestConfigHandling:
         assert main(["solve", "--config", "cfg.json"]) == EXIT_BAD_CONFIG
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert os.listdir() == ["cfg.json"]
+
+    @pytest.mark.parametrize("data, message, loaded", [
+        pytest.param({"problem": 3}, "problem must be a string, got 3",
+                     "config key 'problem' must be a string, got 3", id="problem-int"),
+        pytest.param({"output": 3}, "output must be a string, got 3",
+                     "config key 'output' must be a string, got 3", id="output-int"),
+        pytest.param({"output": "x.csv", "plot_script": 3}, "plot_script must be a string, got 3",
+                     "config key 'plot_script' must be a string, got 3", id="plot_script-int"),
+        pytest.param({"n_list": 8}, "n_list must be a list, got 8",
+                     "config key 'n_list' must be a list of integers, got 8", id="n_list-int"),
+    ])
+    def test_mistyped_field_cannot_be_built(self, tmp_path, monkeypatch, capsys,
+                                            data, message, loaded):
+        # each was built, and problem=3 and n_list=8 failed only when run;
+        # through main the loader's own check of the JSON value comes first
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError) as err:
+            RunConfig(**data)
+        assert str(err.value) == message
+        Path("cfg.json").write_text(json.dumps(data))
+        assert main(["solve", "--config", "cfg.json"]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr() == ("", f"error: {loaded}\n")
+        assert os.listdir() == ["cfg.json"]
+
+    def test_descriptor_output_rejected_and_left_open(self):
+        # an int output was taken for a file descriptor: cmd_solve wrote the
+        # CSV into it and closed it
+        read_end, write_end = os.pipe()
+        try:
+            with pytest.raises(ValueError, match=f"^output must be a string, got {write_end}$"):
+                cli.cmd_solve(RunConfig(n_list=[8], output=write_end))
+            os.fstat(write_end)  # OSError if the descriptor was closed
+        finally:
+            os.close(read_end)
+            with contextlib.suppress(OSError):
+                os.close(write_end)
 
     def test_config_is_frozen(self):
         cfg = RunConfig()

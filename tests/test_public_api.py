@@ -1,8 +1,9 @@
 """The public surface: every exported name resolves, the package
 republishes each library submodule's names, the README quick start runs,
 no constructor or function takes a size that its array arguments already
-fix, and every entry point rejects a bad positive-finite or integer-count
-input with a ValueError that names it."""
+fix, and every entry point rejects a bad or non-numeric positive-finite,
+nonnegative-finite or integer-count input with a ValueError that names it,
+with a row for every numeric parameter."""
 
 import importlib
 import inspect
@@ -14,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import desinc
@@ -80,11 +82,10 @@ def test_no_size_parameter(obj):
     assert {"n", "m"}.isdisjoint(inspect.signature(obj).parameters)
 
 
-# Every positive-finite and integer-count parameter of the public entry
-# points and of the CLI's RunConfig: (callable, parameter, the call with
-# that parameter set to v).  The callable is only the test id; RunConfig's
-# rows keep the ids of its former validate(), whose checks it now runs
-# when built.
+# Every positive-finite, nonnegative-finite and integer-count parameter of
+# the public entry points and of the CLI's RunConfig: (callable,
+# parameter, the call with that parameter set to v).  The callable is only
+# the test id, and the parameter is the name the error message gives.
 IV = Interval(0.0, 0.5)
 WM = build_weights(build_grid(IV, 4))
 POSITIVE_FINITE = [
@@ -99,8 +100,11 @@ POSITIVE_FINITE = [
     ("j_kernel", "h", lambda v: j_kernel(0, v, 0.0)),
     ("convergence_factor_observed", "z_norms",
      lambda v: convergence_factor_observed(IterationTrace(z_norms=[v, 0.1, 0.01, 1e-3]))),
-    ("RunConfig.validate", "tol", lambda v: RunConfig(tol=v)),
-    ("RunConfig.validate", "h", lambda v: RunConfig(h_override=v)),
+    ("RunConfig", "tol", lambda v: RunConfig(tol=v)),
+    ("RunConfig", "h", lambda v: RunConfig(h_override=v)),
+]
+NONNEGATIVE_FINITE = [
+    ("solve", "tol", lambda v: solve(example1().problem, WM.grid, tol=v)),
 ]
 COUNTS = [
     ("build_grid", "N", lambda v: build_grid(IV, v)),
@@ -109,22 +113,62 @@ COUNTS = [
     ("lv_random", "seed", lambda v: lv_random(3, seed=v)),
     ("example2", "n", lambda v: example2(v)),
     ("solve", "max_sweeps", lambda v: solve(example1().problem, WM.grid, max_sweeps=v)),
-    ("RunConfig.validate", "N", lambda v: RunConfig(n_list=[v])),
-    ("RunConfig.validate", "max-sweeps", lambda v: RunConfig(max_sweeps=v)),
+    ("RunConfig", "N", lambda v: RunConfig(n_list=[v])),
+    ("RunConfig", "max-sweeps", lambda v: RunConfig(max_sweeps=v)),
 ]
+NOT_NUMBERS = (True, "1", None, 1j, np.array([0.1, 0.2]))
+
+# The parameters with these names are the numeric inputs.  RunConfig's
+# messages name three of its fields as the CLI's --n, --max-sweeps and --h
+# do, and UNCHECKED says why no row covers the others.
+NUMERIC_NAMES = {"h", "L", "lip", "bound_m", "rho", "tol", "N", "n", "m", "seed", "max_sweeps",
+                 "h_override", "n_list"}
+MESSAGE_NAMES = {("RunConfig", "n_list"): "N", ("RunConfig", "max_sweeps"): "max-sweeps",
+                 ("RunConfig", "h_override"): "h"}
+UNCHECKED = {
+    ("lr_decompose", "m"): "the matrix to factor",
+    ("DEGrid", "N"): "a record of build_grid's result, which checks its N",
+    ("DEGrid", "h"): "a record of build_grid's result, which checks its h",
+}
+
+
+def numeric_parameters():
+    """(callable, message name, default) of every parameter with a numeric
+    name of the callables in desinc.__all__ and of RunConfig."""
+    callables = [(name, getattr(desinc, name)) for name in desinc.__all__] + [
+        ("RunConfig", RunConfig)]
+    for name, obj in callables:
+        for param in inspect.signature(obj).parameters.values():
+            if param.name in NUMERIC_NAMES and (name, param.name) not in UNCHECKED:
+                yield name, MESSAGE_NAMES.get((name, param.name), param.name), param.default
+
+
+# where None stands for the default, it is a valid value
+NONE_IS_DEFAULT = {(name, param) for name, param, default in numeric_parameters()
+                   if default is None}
 
 
 @pytest.mark.parametrize("call, param, value", [
-    pytest.param(call, param, value, id=f"{name}-{param}-{value}")
-    for table, values in ((POSITIVE_FINITE, (math.nan, math.inf, 0.0, -1.0)),
+    pytest.param(call, param, value, id=f"{name}-{param}-{value!r}")
+    for table, values in ((POSITIVE_FINITE, (math.nan, math.inf, 0.0, -1.0) + NOT_NUMBERS),
+                          (NONNEGATIVE_FINITE, (math.nan, math.inf, -1.0) + NOT_NUMBERS),
                           (COUNTS, (8.0, 8.5, True, -1)))
     for name, param, call in table for value in values
+    if not (value is None and (name, param) in NONE_IS_DEFAULT)
 ])
 def test_rejects_bad_input(call, param, value):
     # NaN and inf L made mgs_norm_exact and analyze return inf and mgs_bound
     # NaN, a NaN h made j_kernel NaN, N = 8.5 built a grid with m = 18.0, a
     # float max_sweeps, m or example2 n raised TypeError, a NaN z-norm was
     # skipped, a negative or float seed raised numpy's error and seed=True
-    # was accepted
+    # was accepted; a bool L, h or tol was taken for 1, a string, None or
+    # complex value raised TypeError and an array numpy's ambiguity error
     with pytest.raises(ValueError, match=f"^{re.escape(param)}.* must be "):
         call(value)
+
+
+def test_every_numeric_parameter_has_a_bad_input_row():
+    rows = {(name, param) for table in (POSITIVE_FINITE, NONNEGATIVE_FINITE, COUNTS)
+            for name, param, _ in table}
+    missing = {(name, param) for name, param, _ in numeric_parameters()} - rows
+    assert not missing, f"no row in the bad-input tables for {sorted(missing)}"

@@ -274,3 +274,9 @@ class TestInterval:
         # t = [-inf, ..., nan, ..., inf] and phi' = inf at every node
         with pytest.raises(ValueError, match="length of interval"):
             Interval(-1e308, 1e308)
+
+    @pytest.mark.parametrize("a, b", [("0", "1"), (0, True), (None, 1.0), (0.0, 1j)])
+    def test_rejects_end_that_is_no_number(self, a, b):
+        # strings, None and complex ends raised TypeError; a bool end was 1
+        with pytest.raises(ValueError, match=r"^ends of interval \[.*\] must be real numbers$"):
+            Interval(a, b)

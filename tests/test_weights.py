@@ -252,6 +252,19 @@ class TestSplit:
         assert np.array_equal(ts.f, np.triu(ts.f, k=1))
 
 
+class TestDenseWeights:
+    @pytest.mark.parametrize("N", [2, 5, 16])
+    @pytest.mark.parametrize("iv", [Interval(0.0, 0.5), Interval(1e6, 1e6 + 1)])
+    def test_gather_equals_double_loop(self, N, iv):
+        # the oracle gathers its entries by numpy indexing; each must be the
+        # single product of the literal loop, bit for bit
+        wm = build_weights(build_grid(iv, N))
+        m, gen, dphi = wm.m, wm.gen.tolist(), wm.grid.dphi.tolist()
+        loop = np.array([[dphi[j] * gen[i - j + m - 1] for j in range(m)] for i in range(m)])
+        w = dense_weights(wm)
+        assert w.shape == loop.shape and w.tobytes() == loop.tobytes()
+
+
 class TestRowSumNorm:
     def test_zero_matrix(self):
         assert row_sum_norm(np.zeros((4, 4))) == 0.0
