@@ -19,6 +19,9 @@ __all__ = ["DEGrid", "build_grid"]
 
 @dataclass(frozen=True)
 class DEGrid:
+    """A collocation grid, as build_grid returns it; building one by hand
+    checks that its fields fit together."""
+
     iv: Interval
     N: int
     h: float
@@ -30,6 +33,16 @@ class DEGrid:
     def m(self) -> int:
         """Number of nodes, 2N + 1."""
         return 2 * self.N + 1
+
+    def __post_init__(self):
+        if not isinstance(self.iv, Interval):
+            raise ValueError(f"iv must be an Interval, got {self.iv!r}")
+        check_count("N", self.N, 2)
+        check_positive_finite("h", self.h)
+        for name in ("s", "t", "dphi"):
+            v = getattr(self, name)
+            if not (isinstance(v, np.ndarray) and v.dtype == float and v.shape == (self.m,)):
+                raise ValueError(f"{name} must be a float array of shape ({self.m},)")
 
 
 def default_step(N: int) -> float:

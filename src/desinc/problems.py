@@ -230,19 +230,40 @@ def lr_decompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def toda_solve(s0: TodaState, t: float | np.ndarray) -> TodaState:
     """Exact Toda-lattice state at time t via the group-theoretic
     construction: LR-factor exp(t*A(0)) and conjugate A(0) by the lower
-    factor.  An array of times gives the stack of states, one per time."""
-    import scipy.linalg  # only expm needs it; importing desinc does not load it
+    factor.  An array of times gives the stack of states, one per time.
 
-    a0 = s0.lax_matrix()
-    ta = np.asarray(t, dtype=float)[..., None, None] * a0
-    low, _ = lr_decompose(scipy.linalg.expm(ta))
-    # A(t) = low^{-1} A(0) low, by forward substitution on the unit lower
-    # triangular low, one column of low at a time
-    at = a0 @ low
-    for j in range(s0.m - 1):
-        at[..., j + 1:, :] -= low[..., j + 1:, j, None] * at[..., j, None, :]
-    return TodaState(q=np.diagonal(at, axis1=-2, axis2=-1).copy(),
-                     e=np.diagonal(at, offset=-1, axis1=-2, axis2=-1).copy())
+    Every e_k must be positive.  Then A(0) = D J D^{-1} with J symmetric
+    tridiagonal (q on the diagonal, sqrt(e) beside it) and D diagonal, and
+    an LR factorization commutes with that similarity, so the whole
+    construction runs in J's frame: exp(t*J) = V diag(exp(t*lam)) V^T from
+    one eigendecomposition, and A(t) = D (L^{-1} J L) D^{-1} for the lower
+    factor L of exp(t*J).  Rows at t = 0 are s0 itself, bit for bit.
+    """
+    if not np.all(s0.e > 0.0):
+        raise ValueError("toda_solve needs every e_k positive")
+    r = np.sqrt(s0.e)
+    j = np.zeros(s0.q.shape + (s0.m,))
+    i = np.arange(s0.m)
+    j[..., i, i] = s0.q
+    j[..., i[:-1], i[1:]] = j[..., i[1:], i[:-1]] = r
+    lam, v = np.linalg.eigh(j)
+    t = np.asarray(t, dtype=float)[..., None]
+    ex = np.exp(t * lam)
+    # exp(tJ) summed over the eigenpairs elementwise, which rounds every
+    # time alike, where a matrix product may not between a stack and one time
+    low, _ = lr_decompose(sum(v[..., :, k, None] * v[..., None, :, k] * ex[..., k, None, None]
+                              for k in range(s0.m)))
+    # B = L^{-1} J L: J L from J's three diagonals, then forward
+    # substitution on the unit lower triangular L, one column at a time
+    b = s0.q[..., :, None] * low
+    b[..., :-1, :] += r[..., :, None] * low[..., 1:, :]
+    b[..., 1:, :] += r[..., :, None] * low[..., :-1, :]
+    for k in range(s0.m - 1):
+        b[..., k + 1:, :] -= low[..., k + 1:, k, None] * b[..., k, None, :]
+    # A(t)'s subdiagonal is d_{k+1}/d_k = sqrt(e_k) times B's
+    q = np.diagonal(b, axis1=-2, axis2=-1)
+    e = r * np.diagonal(b, offset=-1, axis1=-2, axis2=-1)
+    return TodaState(q=np.where(t == 0.0, s0.q, q), e=np.where(t == 0.0, s0.e, e))
 
 
 def miura_to_lv(s: TodaState) -> np.ndarray:

@@ -3,10 +3,9 @@ double-exponential variable transform with its derivative, inverse and
 indefinite-integration kernel.
 
 Si is a port of the Si half of Cephes' sici, the algorithm that
-scipy.special.sici runs, and equals sici(x)[0] bit for bit; so
-`import desinc` loads numpy and no scipy module, and scipy.linalg loads
-on the first Toda exact solution.  All functions are pure and
-thread-safe.
+scipy.special.sici runs, and equals sici(x)[0] bit for bit; so no
+module of desinc imports scipy, at import or at run time.  All functions
+are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -57,8 +56,14 @@ class Interval:
     def __post_init__(self):
         if not (is_number(self.a) and is_number(self.b)):
             raise ValueError(f"ends of interval [{self.a!r}, {self.b!r}] must be real numbers")
+        try:  # stored as floats, since a 0-d array end is unhashable
+            a, b = float(self.a), float(self.b)
+        except OverflowError:  # an int end beyond the float range
+            a, b = -math.inf, math.inf
         # b - a is finite only if a and b are, and positive only if a < b
-        check_positive_finite(f"length of interval [{self.a}, {self.b}]", self.b - self.a)
+        check_positive_finite(f"length of interval [{self.a}, {self.b}]", b - a)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def length(self) -> float:

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from desinc.grid import build_grid, default_step
+from desinc.grid import DEGrid, build_grid, default_step
 from desinc.special import Interval, phi_de
 
 from oracles import central_difference
@@ -81,6 +81,27 @@ def test_rejects_bad_inputs():
         build_grid(iv, 4, h=0.0)
     with pytest.raises(ValueError):
         build_grid(iv, 4, h=-0.1)
+
+
+def test_hand_built_grid_equals_build_grid():
+    g = build_grid(Interval(0.0, 1.0), 4)
+    assert DEGrid(g.iv, g.N, g.h, g.s, g.t, g.dphi) == g
+
+
+# DEGrid(iv, True, ...) was built with m = 3 for a 9-node grid, and
+# build_weights then returned a generator of the wrong length
+@pytest.mark.parametrize("field, value, match", [
+    ("iv", (0.0, 1.0), "^iv must be an Interval"),
+    ("s", np.arange(7.0), r"^s must be a float array of shape \(9,\)$"),
+    ("t", np.arange(9), r"^t must be a float array of shape \(9,\)$"),
+    ("dphi", [1.0] * 9, r"^dphi must be a float array of shape \(9,\)$"),
+    ("s", np.zeros((9, 1)), r"^s must be a float array"),
+])
+def test_grid_fields_must_fit_together(field, value, match):
+    g = build_grid(Interval(0.0, 1.0), 4)
+    fields = {"iv": g.iv, "N": g.N, "h": g.h, "s": g.s, "t": g.t, "dphi": g.dphi, field: value}
+    with pytest.raises(ValueError, match=match):
+        DEGrid(**fields)
 
 
 # at h = 1e308 the outer nodes s = j*h were infinite: a RuntimeWarning,

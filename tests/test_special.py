@@ -280,3 +280,13 @@ class TestInterval:
         # strings, None and complex ends raised TypeError; a bool end was 1
         with pytest.raises(ValueError, match=r"^ends of interval \[.*\] must be real numbers$"):
             Interval(a, b)
+
+    def test_array_end_is_stored_as_float(self):
+        # a 0-d array end made the interval unhashable
+        iv = Interval(np.array(0.0), np.int64(1))
+        assert (type(iv.a), type(iv.b)) == (float, float)
+        assert hash(iv) == hash(Interval(0.0, 1.0)) and iv == Interval(0.0, 1.0)
+
+    def test_rejects_int_end_beyond_float_range(self):
+        with pytest.raises(ValueError, match="length of interval"):
+            Interval(0, 10**400)

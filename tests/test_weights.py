@@ -11,7 +11,7 @@ from desinc.grid import build_grid
 from desinc.special import Interval, si
 from desinc.weights import ROWS, WeightMatrix, build_weights, split
 
-from oracles import dense_weights, matmul_fsum, row_sum_norm, si_quadrature, weights_mpmath
+from oracles import dense_weights, matmul_sum2, row_sum_norm, si_quadrature, weights_mpmath
 
 
 def all_p_rows(wm):
@@ -152,8 +152,8 @@ class TestBuildWeights:
 
 class TestMatmul:
     # with the default step, phi' underflows to 0 at the outer nodes from
-    # N = 453 on; the fsum reference costs up to 0.7 us per entry of w, so
-    # the larger N come with fewer columns
+    # N = 453 on; the larger N come with fewer columns, which bounds the
+    # m*m*n products the reference sums
     @settings(max_examples=8, deadline=None)
     @given(N=st.integers(2, 1024),
            iv=st.sampled_from([Interval(0.0, 0.5), Interval(-1.0, 2.0), Interval(1e6, 1e6 + 1)]),
@@ -172,10 +172,22 @@ class TestMatmul:
         wm = build_weights(g)
         f = np.random.default_rng(seed).normal(size=(g.m, n))
         w = dense_weights(wm)
-        ref = matmul_fsum(w, f)
+        ref = matmul_sum2(w, f)
         bound = 4 * np.finfo(float).eps * np.max(np.abs(w) @ np.abs(f), axis=0)
         assert np.all(np.abs(wm.matmul(f) - ref) <= bound)
         assert np.all(np.abs(w @ f - ref) <= bound)
+
+    def test_reference_sum_equals_fsum(self):
+        # the compensated reference keeps what naive summation cancels away,
+        # and on these draws it is the correctly rounded sum in every entry
+        w = np.array([[1e16, 1.0, -1e16], [1.0, 1e-16, -1.0]])
+        f = np.ones((3, 1))
+        assert np.array_equal(matmul_sum2(w, f), [[1.0], [1e-16]])
+        g = build_grid(Interval(0.0, 0.5), 16)
+        w = dense_weights(build_weights(g))
+        f = np.random.default_rng(4).normal(size=(g.m, 3))
+        fsum = [[math.fsum(w[i] * f[:, c]) for c in range(3)] for i in range(g.m)]
+        assert np.array_equal(matmul_sum2(w, f), fsum)
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_kept_spectrum_changes_no_bit(self, n, monkeypatch):
