@@ -188,7 +188,7 @@ def convergence_factor_observed(trace: IterationTrace) -> float:
     check_positive_finite("z_norms[0]", z[0])
     for k, v in enumerate(z[1:], 1):
         if not (is_number(v) and 0.0 <= v < math.inf):
-            raise ValueError(f"z_norms[{k}] must be nonnegative and finite, got {v}")
+            raise ValueError(f"z_norms[{k}] must be nonnegative and finite, got {v!r}")
     floor = _ROUNDOFF_FLOOR * np.finfo(float).eps * z[0]
     ratios = [z[k + 1] / z[k] for k in range(len(z) - 1)
               if z[k] > floor and z[k + 1] > floor]

@@ -264,7 +264,14 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         # invalid configuration (exit 2) rather than a usage error
         flags["n_list"] = [_parse_n(v) for v in flags["n_list"].split(",") if v]
     data.update((key, val) for key, val in flags.items() if val is not None)
-    return RunConfig(**data)
+    cfg = RunConfig(**data)
+    # only here is the config path known; an output naming it would replace it
+    for flag, path in (("--out", cfg.output), ("--plot-script", cfg.plot_script)):
+        if args.config and path not in (None, "-") and (
+                os.path.realpath(path) == os.path.realpath(args.config)):
+            raise ValueError(f"{flag} names the --config file {args.config!r}: "
+                             "it would overwrite the config")
+    return cfg
 
 
 def main(argv: list[str] | None = None) -> int:

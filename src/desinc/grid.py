@@ -8,7 +8,7 @@ index N is the center node j = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,15 +19,18 @@ __all__ = ["DEGrid", "build_grid"]
 
 @dataclass(frozen=True)
 class DEGrid:
-    """A collocation grid, as build_grid returns it; building one by hand
-    checks that its fields fit together."""
+    """The DE collocation grid on iv with N and step h, log(N)/N by
+    default.  Grids compare and hash by (iv, N, h); the node arrays are
+    derived from them when the grid is built, and are read-only."""
 
     iv: Interval
     N: int
-    h: float
-    s: np.ndarray  # nodes j*h, j = -N..N
-    t: np.ndarray  # mapped times phi(s_j), nondecreasing in [a, b]
-    dphi: np.ndarray  # phi'(s_j), nonnegative (0 only by underflow)
+    h: float | None = None
+    # nodes j*h, j = -N..N; mapped times phi(s_j), nondecreasing in [a, b];
+    # phi'(s_j), nonnegative (0 only by underflow)
+    s: np.ndarray = field(init=False, repr=False, compare=False)
+    t: np.ndarray = field(init=False, repr=False, compare=False)
+    dphi: np.ndarray = field(init=False, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -35,14 +38,20 @@ class DEGrid:
         return 2 * self.N + 1
 
     def __post_init__(self):
-        if not isinstance(self.iv, Interval):
-            raise ValueError(f"iv must be an Interval, got {self.iv!r}")
-        check_count("N", self.N, 2)
-        check_positive_finite("h", self.h)
-        for name in ("s", "t", "dphi"):
-            v = getattr(self, name)
-            if not (isinstance(v, np.ndarray) and v.dtype == float and v.shape == (self.m,)):
-                raise ValueError(f"{name} must be a float array of shape ({self.m},)")
+        iv, N, h = self.iv, self.N, self.h
+        if not isinstance(iv, Interval):
+            raise ValueError(f"iv must be an Interval, got {iv!r}")
+        check_count("N", N, 2)
+        h = default_step(N) if h is None else h
+        check_positive_finite("h", h)
+        if not math.isfinite(float(N) * float(h)):  # numpy scalars would warn on overflow
+            raise ValueError(f"h must be small enough that N*h is finite, got {h} at N = {N}")
+        h = float(h)  # as Interval stores its ends: a 0-d array is unhashable
+        s = np.arange(-N, N + 1, dtype=float) * h
+        object.__setattr__(self, "h", h)
+        for name, v in (("s", s), ("t", phi_de(s, iv)), ("dphi", dphi_de(s, iv))):
+            v.flags.writeable = False  # equal (iv, N, h) must mean equal arrays
+            object.__setattr__(self, name, v)
 
 
 def default_step(N: int) -> float:
@@ -51,18 +60,6 @@ def default_step(N: int) -> float:
 
 
 def build_grid(iv: Interval, N: int, h: float | None = None) -> DEGrid:
-    """Build the DE collocation grid on the given interval.
-
-    h defaults to log(N)/N; an explicit h may be supplied for
-    experimentation.
-    """
-    check_count("N", N, 2)
-    h = default_step(N) if h is None else h
-    check_positive_finite("h", h)
-    if not math.isfinite(float(N) * float(h)):  # numpy scalars would warn on overflow
-        raise ValueError(f"h must be small enough that N*h is finite, got {h} at N = {N}")
-    j = np.arange(-N, N + 1, dtype=float)
-    s = j * h
-    t = phi_de(s, iv)
-    dphi = dphi_de(s, iv)
-    return DEGrid(iv=iv, N=N, h=h, s=s, t=t, dphi=dphi)
+    """The DE collocation grid DEGrid(iv, N, h); h defaults to log(N)/N,
+    and an explicit h may be supplied for experimentation."""
+    return DEGrid(iv, N, h)

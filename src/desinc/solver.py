@@ -229,7 +229,7 @@ def solve(
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if not (is_number(tol) and 0.0 <= tol < math.inf):
-        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
+        raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
     check_count("max_sweeps", max_sweeps, 1)
     if grid.iv != prob.iv:
         raise ValueError(f"grid on {grid.iv} but problem on {prob.iv}")

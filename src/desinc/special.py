@@ -37,7 +37,7 @@ def is_number(v, integer: bool = False) -> bool:
 def check_positive_finite(name: str, v) -> None:
     """Raise ValueError unless v is a number, positive and finite."""
     if not (is_number(v) and 0.0 < v < math.inf):
-        raise ValueError(f"{name} must be positive and finite, got {v}")
+        raise ValueError(f"{name} must be positive and finite, got {v!r}")
 
 
 def check_count(name: str, v, k: int) -> None:
@@ -242,5 +242,5 @@ def j_kernel(j: int, h: float, s: float) -> float:
     """
     # check_positive_finite inline, as it runs once per node per evaluate
     if h.__class__ is not float and not is_number(h) or not 0.0 < h < math.inf:
-        raise ValueError(f"h must be positive and finite, got {h}")
+        raise ValueError(f"h must be positive and finite, got {h!r}")
     return h * (0.5 + si(math.pi * (s - j * h) / h) / math.pi)

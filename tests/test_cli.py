@@ -426,6 +426,16 @@ class TestConfigHandling:
         cfg = cli._load_config(args)
         assert (cfg.tol, cfg.h_override, cfg.plot_script) == (1, None, None)
 
+    def test_integer_config_step_writes_what_the_flag_writes(self, tmp_path, monkeypatch):
+        # the grid stores h as a float, so the h column read "1" from the
+        # config but "1.0" from --h 1
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps({"h_override": 1, "output": "a.csv"}))
+        assert main(["solve", "--n", "8", "--config", "cfg.json"]) == EXIT_OK
+        assert main(["solve", "--n", "8", "--h", "1", "--out", "b.csv"]) == EXIT_OK
+        assert Path("a.csv").read_text().splitlines()[1].startswith("8,1.0,")
+        assert Path("a.csv").read_bytes() == Path("b.csv").read_bytes()
+
     def test_plot_script_emitted(self, tmp_path):
         out = tmp_path / "out.csv"
         script = tmp_path / "plot.py"
@@ -459,6 +469,23 @@ class TestConfigHandling:
         assert not Path("out.csv").exists()
         assert capsys.readouterr() == ("", "error: --plot-script names the --out file 'out.csv': "
                                            "the script would overwrite the CSV\n")
+
+    @pytest.mark.parametrize("flag, key", [("--out", "output"), ("--plot-script", "plot_script")])
+    @pytest.mark.parametrize("via", ["flags", "config"])
+    def test_output_naming_the_config_rejected(self, tmp_path, monkeypatch, capsys, flag, key,
+                                               via):
+        # --out and --plot-script used to replace the config file, with exit 0
+        monkeypatch.chdir(tmp_path)
+        data = {"n_list": [8]} if key == "output" else {"n_list": [8], "output": "x.csv"}
+        if via == "config":
+            data[key] = "./c.json"
+        Path("c.json").write_text(json.dumps(data))
+        before = Path("c.json").read_bytes()
+        argv = ["--config", "c.json"] + ([flag, "c.json"] if via == "flags" else [])
+        assert main(["solve", "--problem", "example1", *argv]) == EXIT_BAD_CONFIG
+        assert Path("c.json").read_bytes() == before and not Path("x.csv").exists()
+        assert capsys.readouterr() == ("", f"error: {flag} names the --config file 'c.json': "
+                                           "it would overwrite the config\n")
 
     @pytest.mark.parametrize("via", ["flags", "config"])
     def test_plot_script_rejected_by_dump_weights(self, tmp_path, monkeypatch, capsys, via):

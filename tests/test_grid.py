@@ -1,11 +1,14 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from desinc.grid import DEGrid, build_grid, default_step
-from desinc.special import Interval, phi_de
+from desinc.special import Interval, dphi_de, phi_de
 
 from oracles import central_difference
 
@@ -84,24 +87,52 @@ def test_rejects_bad_inputs():
 
 
 def test_hand_built_grid_equals_build_grid():
-    g = build_grid(Interval(0.0, 1.0), 4)
-    assert DEGrid(g.iv, g.N, g.h, g.s, g.t, g.dphi) == g
+    # grids built apart used to raise numpy's ambiguous truth value error
+    iv = Interval(0.0, 1.0)
+    g = build_grid(iv, 4)
+    assert DEGrid(Interval(0.0, 1.0), 4) == g
+    assert DEGrid(iv, 4, math.log(4) / 4) == g
+    assert DEGrid(iv, 4, 0.5) != g and DEGrid(iv, 5) != g
 
 
-# DEGrid(iv, True, ...) was built with m = 3 for a 9-node grid, and
-# build_weights then returned a generator of the wrong length
 @pytest.mark.parametrize("field, value, match", [
     ("iv", (0.0, 1.0), "^iv must be an Interval"),
-    ("s", np.arange(7.0), r"^s must be a float array of shape \(9,\)$"),
-    ("t", np.arange(9), r"^t must be a float array of shape \(9,\)$"),
-    ("dphi", [1.0] * 9, r"^dphi must be a float array of shape \(9,\)$"),
-    ("s", np.zeros((9, 1)), r"^s must be a float array"),
 ])
 def test_grid_fields_must_fit_together(field, value, match):
-    g = build_grid(Interval(0.0, 1.0), 4)
-    fields = {"iv": g.iv, "N": g.N, "h": g.h, "s": g.s, "t": g.t, "dphi": g.dphi, field: value}
+    fields = {"iv": Interval(0.0, 1.0), "N": 4, "h": None, field: value}
     with pytest.raises(ValueError, match=match):
         DEGrid(**fields)
+
+
+def test_rejection_quotes_the_value():
+    # a string h read as "got 0.1", like a valid step
+    with pytest.raises(ValueError, match="^h must be positive and finite, got '0.1'$"):
+        build_grid(Interval(0.0, 1.0), 8, "0.1")
+
+
+intervals = st.builds(
+    lambda a, length: Interval(a, a + length),
+    st.floats(-1e6, 1e6), st.floats(1e-3, 1e3))
+steps = st.one_of(st.none(), st.floats(1e-3, 2.0),
+                  st.floats(1e-3, 2.0).map(np.float64), st.floats(1e-3, 2.0).map(np.array))
+
+
+@settings(max_examples=60, deadline=None)
+@given(iv=intervals, N=st.integers(2, 64), h=steps, h2=st.floats(1e-3, 2.0))
+def test_grid_is_its_interval_n_and_step(iv, N, h, h2):
+    g, twin = DEGrid(iv, N, h), DEGrid(Interval(iv.a, iv.b), N, h)
+    assert g == twin and hash(g) == hash(twin) and len({g, twin}) == 1
+    step = default_step(N) if h is None else h
+    assert type(g.h) is float and g.h == step
+    s = np.arange(-N, N + 1, dtype=float) * step
+    for got, want in ((g.s, s), (g.t, phi_de(s, iv)), (g.dphi, dphi_de(s, iv))):
+        assert got.dtype == float and got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            got[0] = 1.0
+    assert DEGrid(iv, N) == build_grid(iv, N)
+    moved, s2 = dataclasses.replace(g, h=h2), np.arange(-N, N + 1, dtype=float) * h2
+    assert moved.h == h2 and moved.s.tobytes() == s2.tobytes()
+    assert moved.t.tobytes() == phi_de(s2, iv).tobytes()
 
 
 # at h = 1e308 the outer nodes s = j*h were infinite: a RuntimeWarning,

@@ -88,13 +88,12 @@ def test_no_size_parameter(obj):
 # the test id, and the parameter is the name the error message gives.
 IV = Interval(0.0, 0.5)
 WM = build_weights(build_grid(IV, 4))
-G = WM.grid
 POSITIVE_FINITE = [
     ("IVProblem", "lip", lambda v: IVProblem(rhs=lv_rhs, x_a=1.0, iv=IV, lip=v)),
     ("IVProblem", "bound_m", lambda v: IVProblem(rhs=lv_rhs, x_a=1.0, iv=IV, bound_m=v)),
     ("IVProblem", "rho", lambda v: IVProblem(rhs=lv_rhs, x_a=1.0, iv=IV, rho=v)),
     ("build_grid", "h", lambda v: build_grid(IV, 4, h=v)),
-    ("DEGrid", "h", lambda v: DEGrid(IV, 4, v, G.s, G.t, G.dphi)),
+    ("DEGrid", "h", lambda v: DEGrid(IV, 4, v)),
     ("mgs_norm_exact", "L", lambda v: mgs_norm_exact(WM, v)),
     ("analyze", "L", lambda v: analyze(WM, v)),
     ("mgs_bound", "L", lambda v: mgs_bound(v, IV, 0.3, 4)),
@@ -110,7 +109,7 @@ NONNEGATIVE_FINITE = [
 ]
 COUNTS = [
     ("build_grid", "N", lambda v: build_grid(IV, v)),
-    ("DEGrid", "N", lambda v: DEGrid(IV, v, G.h, G.s, G.t, G.dphi)),
+    ("DEGrid", "N", lambda v: DEGrid(IV, v)),
     ("mgs_bound", "N", lambda v: mgs_bound(1.0, IV, 0.3, v)),
     ("lv_random", "m", lambda v: lv_random(v)),
     ("lv_random", "seed", lambda v: lv_random(3, seed=v)),

@@ -8,7 +8,9 @@ place that calls a problem's rhs and turns its failure into
 RhsEvaluationError: the Gauss-Seidel sweep hands it the updated rows
 rather than keeping a copy of that loop.  In the CLI, cli._grids alone
 builds the problem and the grids, before any command opens its output, and
-a RunConfig is built once, never assigned to or validated afterwards."""
+a RunConfig is built once, never assigned to or validated afterwards.  A
+grid's nodes are mapped in one place, DEGrid.__post_init__, so they
+follow from its interval, N and h alone."""
 
 import ast
 from pathlib import Path
@@ -90,3 +92,9 @@ def test_cli_builds_its_config_once():
     calls = _uses(lambda c: getattr(c.func, "id", None) == "setattr"
                   or getattr(c.func, "attr", None) == "validate", kind=ast.Call)
     assert {fn for path, fn in calls if path == "cli.py"} == set()
+
+
+def test_only_grid_maps_the_nodes():
+    callers = _uses(lambda c: getattr(c.func, "id", getattr(c.func, "attr", None))
+                    in ("phi_de", "dphi_de"), kind=ast.Call)
+    assert callers == {("grid.py", "__post_init__")}
