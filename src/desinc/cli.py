@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -207,6 +208,7 @@ _OPTIONS = {
 }
 
 
+@cache  # built once per process: parsing leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="desinc",

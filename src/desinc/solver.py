@@ -6,14 +6,14 @@ solution.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .grid import DEGrid
-from .special import Interval, check_count, check_positive_finite, is_number, j_kernel, phi_de_inv
+from .special import (Interval, check_count, check_nonnegative_finite, check_positive_finite,
+                      j_kernel, phi_de_inv)
 from .weights import WeightMatrix, build_weights
 
 __all__ = [
@@ -228,8 +228,7 @@ def solve(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if not (is_number(tol) and 0.0 <= tol < math.inf):
-        raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
+    check_nonnegative_finite("tol", tol)
     check_count("max_sweeps", max_sweeps, 1)
     if grid.iv != prob.iv:
         raise ValueError(f"grid on {grid.iv} but problem on {prob.iv}")

@@ -11,6 +11,7 @@ are pure and thread-safe.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +35,22 @@ def is_number(v, integer: bool = False) -> bool:
         or isinstance(v, np.ndarray) and v.ndim == 0 and v.dtype.kind in "iuf"))
 
 
+# the largest double: an int above it is below math.inf but no float
+_FLOAT_MAX = sys.float_info.max
+
+
 def check_positive_finite(name: str, v) -> None:
-    """Raise ValueError unless v is a number, positive and finite."""
-    if not (is_number(v) and 0.0 < v < math.inf):
+    """Raise ValueError unless v is a number, positive and finite as a
+    float."""
+    if not (is_number(v) and 0.0 < v <= _FLOAT_MAX):
         raise ValueError(f"{name} must be positive and finite, got {v!r}")
+
+
+def check_nonnegative_finite(name: str, v) -> None:
+    """Raise ValueError unless v is a number, nonnegative and finite as a
+    float."""
+    if not (is_number(v) and 0.0 <= v <= _FLOAT_MAX):
+        raise ValueError(f"{name} must be nonnegative and finite, got {v!r}")
 
 
 def check_count(name: str, v, k: int) -> None:
@@ -241,6 +254,6 @@ def j_kernel(j: int, h: float, s: float) -> float:
     because the sine integral oscillates.
     """
     # check_positive_finite inline, as it runs once per node per evaluate
-    if h.__class__ is not float and not is_number(h) or not 0.0 < h < math.inf:
+    if h.__class__ is not float and not is_number(h) or not 0.0 < h <= _FLOAT_MAX:
         raise ValueError(f"h must be positive and finite, got {h!r}")
     return h * (0.5 + si(math.pi * (s - j * h) / h) / math.pi)

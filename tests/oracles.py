@@ -4,7 +4,8 @@ weight matrix from the generator, the weight matrix in 40-digit mpmath
 arithmetic, a matrix product with compensated row sums, a literal
 double-loop Gauss-Seidel sweep and one with an m-long dot product per
 node, the infinity norm of a dense matrix, the comparison-matrix norm
-through a dense inverse and by a row-by-row forward substitution, the
+through a dense inverse and by a row-by-row forward substitution, its
+row sums by the blocked divide and conquer with every block solved, the
 Toda-lattice commutator check, and the exact Lotka-Volterra solution
 in 40-digit mpmath arithmetic, one time at a time.
 """
@@ -14,6 +15,8 @@ from __future__ import annotations
 import mpmath
 import numpy as np
 from scipy.integrate import quad
+
+from desinc.weights import _fft_convolve
 
 
 def rk4(rhs, x0, t0, t1, step=1e-5):
@@ -172,6 +175,39 @@ def mgs_norm_rowloop(wm, L):
         y[i] = L * (df_rows[i] + rev[m - 1 - i:m - 1] @ g[:i])
         g[i] = dphi[i] * y[i]
     return float(y.max())
+
+
+def mgs_rows_every_block(wm, L, leaf=64):
+    """The row sums y of (I - L|E|)^{-1} L(|D|+|F|) by the divide and
+    conquer of desinc.analysis.mgs_norm_exact without its tail skip: every
+    leaf block is solved by LAPACK, also where phi' = 0 makes its system
+    the identity, and every merge is made, also of an all-zero g.  The
+    same blocks, operations and operand order otherwise, so its y is the
+    one mgs_norm_exact must match bit for bit."""
+    m, dphi = wm.m, wm.grid.dphi
+    a = np.abs(wm.p_column)
+    nb = min(m, leaf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = np.arange(nb)
+        upper = L * np.triu(a[np.abs(k[None, :] - k[:, None])], 1)
+        eye = np.eye(nb)
+        y = wm.abs_row_sums[1].copy()
+        g = np.empty(m)
+
+        def solve(lo, hi):
+            n = hi - lo
+            if n <= leaf:
+                lhs = eye[:n, :n] - upper[:n, :n] * dphi[lo:hi][::-1]
+                y[lo:hi] = np.linalg.solve(lhs, L * y[lo:hi][::-1])[::-1]
+                g[lo:hi] = dphi[lo:hi] * y[lo:hi]
+                return
+            mid = lo + leaf * ((n + 2 * leaf - 1) // (2 * leaf))
+            solve(lo, mid)
+            y[mid:hi] += _fft_convolve(g[lo:mid], a[1:n], mid - lo - 1, n - 1)
+            solve(mid, hi)
+
+        solve(0, m)
+    return y
 
 
 def toda_rhs_check(s) -> float:

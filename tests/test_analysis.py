@@ -20,7 +20,8 @@ from desinc.solver import IterationTrace, IVProblem, solve
 from desinc.special import Interval
 from desinc.weights import WeightMatrix, build_weights, split
 
-from oracles import dense_weights, mgs_norm_dense, mgs_norm_rowloop, row_sum_norm
+from oracles import (dense_weights, mgs_norm_dense, mgs_norm_rowloop, mgs_rows_every_block,
+                     row_sum_norm)
 
 
 def neumann_oracle(tsplit, L):
@@ -108,6 +109,53 @@ class TestMgsNormExact:
         wm = build_weights(build_grid(Interval(0.0, b), N))
         assert mgs_norm_exact(wm, L) == math.inf
         assert analyze(wm, L).contraction is False
+
+
+def same_bits(x, y) -> bool:
+    """Whether two float arrays are equal bit for bit, a NaN matching any
+    NaN: an overflow leaves NaNs whose payload is no result."""
+    nan = np.isnan(x)
+    return bool(np.array_equal(nan, np.isnan(y))
+                and np.array_equal(x[~nan].view(np.int64), y[~nan].view(np.int64)))
+
+
+class TestMgsTailSkip:
+    """mgs_norm_exact skips the blocks where phi' underflows to 0; its
+    rows and norm must be those of solving every block."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(N=st.integers(2, 4096),
+           a=st.floats(-10.0, 10.0),
+           length=st.floats(0.01, 10.0),
+           L=st.floats(1e-6, 100.0))
+    # the paper's interval at the largest N of the analyze benchmark
+    @example(N=2048, a=0.0, length=0.5, L=1.0)
+    # the overflows of TestMgsNormExact.test_overflow_gives_inf
+    @example(N=16, a=0.0, length=1.0, L=1e300)
+    @example(N=1024, a=0.0, length=10.0, L=1e4)
+    @example(N=16, a=0.0, length=10.0, L=1e308)
+    def test_bit_identical_to_every_block_solved(self, N, a, length, L):
+        wm = build_weights(build_grid(Interval(a, a + length), N))
+        ref = mgs_rows_every_block(wm, L)
+        assert same_bits(analysis._mgs_rows(wm, L), ref)
+        norm = ref.max()
+        assert mgs_norm_exact(wm, L) == (float(norm) if norm < math.inf else math.inf)
+
+    def test_tail_leaves_call_no_solve(self, monkeypatch):
+        wm = build_weights(build_grid(Interval(0.0, 0.5), 2048))
+        live = np.flatnonzero(wm.grid.dphi)
+        first, last = live[0], live[-1] + 1
+        # 812 of the 4097 nodes have phi' = 0, in both tails
+        assert wm.m - (last - first) == 812 and first > analysis._LEAF
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(1) or solve(*args))
+        mgs_norm_exact(wm, 1.0)
+        # the leaves are rows lo..lo+63 for lo = 0, 64, ... (the last one
+        # row); one solve per leaf that meets rows first..last-1
+        leaves = range(0, wm.m, analysis._LEAF)
+        meeting = sum(lo < last and lo + analysis._LEAF > first for lo in leaves)
+        assert len(leaves) == 65 and len(calls) == meeting < 65
 
 
 class TestMgsBound:
@@ -212,9 +260,11 @@ class TestConvergenceFactorObserved:
         assert factor == pytest.approx(0.0423, abs=5e-5)
 
     # a bool was taken for 1, a string, None or complex norm raised
-    # TypeError and an array numpy's ambiguity error
+    # TypeError and an array numpy's ambiguity error, and 10**400 an
+    # OverflowError in the ratios
     @pytest.mark.parametrize("v", [-1.0, math.nan, math.inf, True, "1", None, 1j,
-                                   np.array([0.1, 0.2])], ids=repr)
+                                   np.array([0.1, 0.2]), 10**400],
+                             ids=lambda v: "10**400" if type(v) is int else repr(v))
     def test_rejects_negative_or_non_finite_later_norm(self, v):
         with pytest.raises(ValueError, match=r"z_norms\[2\] must be nonnegative and finite"):
             convergence_factor_observed(IterationTrace(z_norms=[1.0, 0.1, v, 1e-3]))

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -527,3 +528,40 @@ class TestConfigHandling:
             assert capsys.readouterr() == ("", "error: h must be small enough that N*h is "
                                                "finite, got 1e+307 at N = 64\n")
         assert not out.exists()
+
+    def test_step_beyond_the_float_range_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # an integer h_override above the largest double passed the
+        # positive-finite check, and float(h) raised an OverflowError that
+        # main printed as a traceback, exit 1
+        monkeypatch.chdir(tmp_path)
+        Path("big.json").write_text('{"n_list": [8], "h_override": 1' + "0" * 400 + "}")
+        assert main(["solve", "--config", "big.json", "--out", "out.csv"]) == EXIT_BAD_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: h must be positive and finite, got 1000")
+        assert sorted(os.listdir()) == ["big.json"]
+
+
+class TestParserReuse:
+    # main parses with one parser per process
+    def test_parser_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize("stop_argv, code", [(["solve", "--frobnicate"], 2),
+                                                 (["solve", "--help"], 0)],
+                             ids=["usage-error", "help"])
+    def test_main_runs_after_parser_exit(self, tmp_path, capsys, stop_argv, code):
+        with pytest.raises(SystemExit) as stop:
+            main(stop_argv)
+        assert stop.value.code == code
+        capsys.readouterr()
+        out = tmp_path / "out.csv"
+        assert main(["solve", "--n", "8", "--out", str(out)]) == EXIT_OK
+        assert read_csv(out)[1][:2] == ["8", repr(math.log(8) / 8)]
+
+    def test_step_flag_does_not_carry_over(self, tmp_path):
+        # a Namespace of the last call must not leak its --h into the next
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["solve", "--n", "8", "--h", "0.05", "--out", str(a)]) == EXIT_OK
+        assert main(["solve", "--n", "8", "--out", str(b)]) == EXIT_OK
+        assert read_csv(a)[1][1] == "0.05"
+        assert read_csv(b)[1][1] == repr(math.log(8) / 8)

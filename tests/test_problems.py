@@ -82,6 +82,19 @@ class TestExamples:
         ref = rk4(tp.problem.rhs, tp.problem.x_a, 0.0, 0.125, step=1e-5)
         assert np.max(np.abs(tp.exact(0.125) - ref)) < 1e-10
 
+    @given(n=st.sampled_from([3, 11, 101]), seed=st.integers(0, 2**32 - 1))
+    def test_example2_rhs_bits_of_matrix_product(self, n, seed):
+        # the rhs is a.dot(x), which the solver calls on row views of its
+        # state; it must round as a @ x did, or the solve CSVs would move
+        tp = example2(n)
+        e = np.eye(n)
+        a = np.column_stack([tp.problem.rhs(0.0, e[:, k]) for k in range(n)])
+        rng = np.random.default_rng(seed)
+        state = rng.normal(size=(9, n)) * 10.0 ** rng.integers(-8, 8, size=(9, 1))
+        for i in range(len(state)):
+            assert np.array_equal((a @ state[i]).view(np.int64),
+                                  tp.problem.rhs(0.0, state[i]).view(np.int64))
+
     def test_example2_rejects_even_n(self):
         with pytest.raises(ValueError):
             example2(10)

@@ -119,6 +119,8 @@ COUNTS = [
     ("RunConfig", "max-sweeps", lambda v: RunConfig(max_sweeps=v)),
 ]
 NOT_NUMBERS = (True, "1", None, 1j, np.array([0.1, 0.2]))
+# an int above the largest double: below math.inf, but float() of it raises
+HUGE = 10**400
 
 # The parameters with these names are the numeric inputs.  RunConfig's
 # messages name three of its fields as the CLI's --n, --max-sweeps and --h
@@ -149,9 +151,10 @@ NONE_IS_DEFAULT = {(name, param) for name, param, default in numeric_parameters(
 
 
 @pytest.mark.parametrize("call, param, value", [
-    pytest.param(call, param, value, id=f"{name}-{param}-{value!r}")
-    for table, values in ((POSITIVE_FINITE, (math.nan, math.inf, 0.0, -1.0) + NOT_NUMBERS),
-                          (NONNEGATIVE_FINITE, (math.nan, math.inf, -1.0) + NOT_NUMBERS),
+    pytest.param(call, param, value,
+                 id=f"{name}-{param}-{'10**400' if value is HUGE else repr(value)}")
+    for table, values in ((POSITIVE_FINITE, (math.nan, math.inf, 0.0, -1.0, HUGE) + NOT_NUMBERS),
+                          (NONNEGATIVE_FINITE, (math.nan, math.inf, -1.0, HUGE) + NOT_NUMBERS),
                           (COUNTS, (8.0, 8.5, True, -1)))
     for name, param, call in table for value in values
     if not (value is None and (name, param) in NONE_IS_DEFAULT)
@@ -162,7 +165,9 @@ def test_rejects_bad_input(call, param, value):
     # float max_sweeps, m or example2 n raised TypeError, a NaN z-norm was
     # skipped, a negative or float seed raised numpy's error and seed=True
     # was accepted; a bool L, h or tol was taken for 1, a string, None or
-    # complex value raised TypeError and an array numpy's ambiguity error
+    # complex value raised TypeError and an array numpy's ambiguity error;
+    # an int h, L or tol of 10**400 passed, and converting it to a float
+    # raised OverflowError
     with pytest.raises(ValueError, match=f"^{re.escape(param)}.* must be "):
         call(value)
 
