@@ -92,9 +92,16 @@ def _write_row(fh, values) -> None:
     fh.flush()
 
 
-def _grids(cfg: RunConfig):
+def _grids(cfg: RunConfig, command: str):
     """The configured problem and its grid per N, ascending, all built
-    before a command opens its output: a bad configuration writes nothing."""
+    before a command opens its output: a bad configuration writes nothing.
+    Every cmd_* calls it first, so a direct call obeys the command's rules
+    in _COMMANDS as main does."""
+    _, _, one_n, plot_cols = _COMMANDS[command]
+    if one_n and len(cfg.n_list) != 1:
+        raise ValueError(f"{command} needs exactly one N")
+    if plot_cols is None and cfg.plot_script is not None:
+        raise ValueError(f"{command} writes no plot script; drop --plot-script")
     tp = problem_from_name(cfg.problem)
     return tp, [build_grid(tp.problem.iv, n, cfg.h_override) for n in sorted(cfg.n_list)]
 
@@ -102,7 +109,7 @@ def _grids(cfg: RunConfig):
 def cmd_solve(cfg: RunConfig) -> int:
     """Per-N accuracy sweep: solve and compare node values against the
     exact solution."""
-    tp, grids = _grids(cfg)
+    tp, grids = _grids(cfg, "solve")
     status = EXIT_OK
     with _open_out(cfg.output) as fh:
         _write_row(fh, ["N", "h", "E1", "sweeps", "converged"])
@@ -121,7 +128,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 def cmd_trace(cfg: RunConfig) -> int:
     """Per-sweep iteration trace against the 10-sweep reference
     solution."""
-    tp, (grid,) = _grids(cfg)
+    tp, (grid,) = _grids(cfg, "trace")
     ref = reference_solution(tp.problem, grid)
     _, trace = solve(tp.problem, grid, method=cfg.method, tol=0.0,
                      max_sweeps=cfg.max_sweeps, store_iterates=True)
@@ -135,7 +142,7 @@ def cmd_trace(cfg: RunConfig) -> int:
 
 def cmd_analyze(cfg: RunConfig) -> int:
     """Per-N convergence analysis rows, plus the assumption flags."""
-    tp, grids = _grids(cfg)
+    tp, grids = _grids(cfg, "analyze")
     if tp.problem.lip is None:
         raise ValueError(f"problem {cfg.problem!r} supplies no Lipschitz constant")
     lip = tp.problem.lip
@@ -155,7 +162,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
 def cmd_dump_weights(cfg: RunConfig) -> int:
     """Dump the weight matrix, one row per line, full-precision scientific
     notation."""
-    _, (grid,) = _grids(cfg)
+    _, (grid,) = _grids(cfg, "dump-weights")
     wm = build_weights(grid)
     with _open_out(cfg.output) as fh:
         # row blocks of w = P diag(dphi), so the m x m matrix is never formed
@@ -280,11 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        command, _, one_n, plot_cols = _COMMANDS[args.command]
-        if one_n and len(cfg.n_list) != 1:
-            raise ValueError(f"{args.command} needs exactly one N")
-        if plot_cols is None and cfg.plot_script is not None:
-            raise ValueError(f"{args.command} writes no plot script; drop --plot-script")
+        command, _, _, plot_cols = _COMMANDS[args.command]
         status = command(cfg)
         # written after a non-convergence too, since the CSV holds every row
         if cfg.plot_script is not None:

@@ -42,6 +42,7 @@ class DEGrid:
         if not isinstance(iv, Interval):
             raise ValueError(f"iv must be an Interval, got {iv!r}")
         check_count("N", N, 2)
+        check_positive_finite("N", N)  # an int above the largest double is no float
         h = default_step(N) if h is None else h
         check_positive_finite("h", h)
         if not math.isfinite(float(N) * float(h)):  # numpy scalars would warn on overflow

@@ -1,6 +1,7 @@
 """Test problems with closed-form exact solutions, including the
 Toda-lattice machinery that generates exact Lotka-Volterra trajectories
-for an arbitrary odd number of species.
+for an arbitrary odd number of species: one symmetric eigendecomposition
+per state and one Cholesky factorization per stack of times.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ __all__ = [
     "miura_to_lv",
     "lv_exact",
     "lv_rhs",
-    "lr_decompose",
-    "LRDecompositionError",
     "MiuraPivotError",
     "problem_from_name",
 ]
@@ -78,18 +77,6 @@ class TodaState:
         a[..., i[:-1], i[1:]] = 1.0
         a[..., i[1:], i[:-1]] = self.e
         return a
-
-
-def _first(values: np.ndarray, mask: np.ndarray) -> float:
-    """The first entry of values where mask holds (both may be 0-d)."""
-    return float(values[mask][0])
-
-
-class LRDecompositionError(RuntimeError):
-    def __init__(self, index: int, pivot: float):
-        super().__init__(f"zero pivot {pivot:.3e} at index {index}")
-        self.index = index
-        self.pivot = pivot
 
 
 class MiuraPivotError(RuntimeError):
@@ -203,30 +190,6 @@ def lv_random(m: int, seed: int = 0) -> TestProblem:
     )
 
 
-def lr_decompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Plain LR (Doolittle) factorization without pivoting, of one square
-    matrix or of each matrix in a stack (shape (..., n, n)).
-
-    Pivoting would destroy the similarity structure the Toda construction
-    relies on, so a vanishing pivot is a hard error; it names the pivot
-    index of the first matrix in the stack that has one.
-    """
-    a = np.array(m, dtype=float)
-    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
-        raise ValueError("matrix must be square")
-    n = a.shape[-1]
-    low = np.broadcast_to(np.eye(n), a.shape).copy()
-    for k in range(n):
-        piv = a[..., k, k]
-        zero = piv == 0.0
-        if np.any(zero):
-            raise LRDecompositionError(k, _first(piv, zero))
-        if k < n - 1:
-            low[..., k + 1:, k] = a[..., k + 1:, k] / piv[..., None]
-            a[..., k + 1:, k:] -= low[..., k + 1:, k, None] * a[..., k, None, k:]
-    return low, np.triu(a)
-
-
 def toda_solve(s0: TodaState, t: float | np.ndarray) -> TodaState:
     """Exact Toda-lattice state at time t via the group-theoretic
     construction: LR-factor exp(t*A(0)) and conjugate A(0) by the lower
@@ -237,7 +200,15 @@ def toda_solve(s0: TodaState, t: float | np.ndarray) -> TodaState:
     an LR factorization commutes with that similarity, so the whole
     construction runs in J's frame: exp(t*J) = V diag(exp(t*lam)) V^T from
     one eigendecomposition, and A(t) = D (L^{-1} J L) D^{-1} for the lower
-    factor L of exp(t*J).  Rows at t = 0 are s0 itself, bit for bit.
+    factor L of exp(t*J).  That matrix is symmetric positive definite, so L
+    is its Cholesky factor scaled to a unit diagonal.  Rows at t = 0 are s0
+    itself, bit for bit.
+
+    Any LR factorization of exp(t*J) breaks down as t grows: for m = 3 the
+    worst relative error of a component is about 1e-11 at t = 5 and 3e-7
+    at t = 10, and none is left by t = 15.  Where exp(t*J) is no longer
+    numerically positive definite the call raises numpy's LinAlgError, a
+    ValueError.
     """
     if not np.all(s0.e > 0.0):
         raise ValueError("toda_solve needs every e_k positive")
@@ -251,8 +222,9 @@ def toda_solve(s0: TodaState, t: float | np.ndarray) -> TodaState:
     ex = np.exp(t * lam)
     # exp(tJ) summed over the eigenpairs elementwise, which rounds every
     # time alike, where a matrix product may not between a stack and one time
-    low, _ = lr_decompose(sum(v[..., :, k, None] * v[..., None, :, k] * ex[..., k, None, None]
-                              for k in range(s0.m)))
+    c = np.linalg.cholesky(sum(v[..., :, k, None] * v[..., None, :, k] * ex[..., k, None, None]
+                               for k in range(s0.m)))
+    low = c / np.diagonal(c, axis1=-2, axis2=-1)[..., None, :]
     # B = L^{-1} J L: J L from J's three diagonals, then forward
     # substitution on the unit lower triangular L, one column at a time
     b = s0.q[..., :, None] * low
@@ -278,7 +250,7 @@ def miura_to_lv(s: TodaState) -> np.ndarray:
         odd = x[..., 2 * k - 2]  # x_{2k-1} in 1-based indexing
         small = np.abs(odd) <= thresh
         if np.any(small):
-            raise MiuraPivotError(2 * k - 1, _first(odd, small))
+            raise MiuraPivotError(2 * k - 1, float(odd[small][0]))
         x[..., 2 * k - 1] = s.e[..., k - 1] / odd
         x[..., 2 * k] = s.q[..., k] - x[..., 2 * k - 1] - 1.0
     return x

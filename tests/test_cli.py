@@ -501,6 +501,11 @@ class TestConfigHandling:
         assert not Path("w.csv").exists() and not Path("plot.py").exists()
         assert capsys.readouterr() == ("", "error: dump-weights writes no plot script; "
                                            "drop --plot-script\n")
+        # a direct call wrote the CSV and silently no script
+        with pytest.raises(ValueError, match="^dump-weights writes no plot script; "
+                                             "drop --plot-script$"):
+            cli.cmd_dump_weights(RunConfig(n_list=[4], output="w.csv", plot_script="plot.py"))
+        assert sorted(os.listdir()) == (["cfg.json"] if via == "config" else [])
 
     @pytest.mark.parametrize("via", ["flags", "config"])
     @pytest.mark.parametrize("command", ["trace", "dump-weights"])
@@ -513,8 +518,9 @@ class TestConfigHandling:
             argv = ["--config", "cfg.json"]
         assert main([command, "--problem", "example1", *argv]) == EXIT_BAD_CONFIG
         assert capsys.readouterr() == ("", f"error: {command} needs exactly one N\n")
-        # a direct call, which main's check does not guard, still refuses
-        with pytest.raises(ValueError):
+        # a direct call refuses with main's message; it failed to unpack
+        # the two grids
+        with pytest.raises(ValueError, match=f"^{command} needs exactly one N$"):
             cli._COMMANDS[command][0](RunConfig(n_list=[8, 16], output="x.csv"))
         assert not Path("x.csv").exists()
 
@@ -539,6 +545,16 @@ class TestConfigHandling:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: h must be positive and finite, got 1000")
         assert sorted(os.listdir()) == ["big.json"]
+
+    def test_count_beyond_the_float_range_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # an N above the largest double passed the count check, and
+        # log(N)/N raised an OverflowError that main printed as a
+        # traceback, exit 1
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", "--n", "1" + "0" * 400, "--out", "out.csv"]) == EXIT_BAD_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: N must be positive and finite, got 1000")
+        assert os.listdir() == []
 
 
 class TestParserReuse:

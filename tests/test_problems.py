@@ -10,13 +10,11 @@ from scipy.linalg import expm
 from desinc import problems
 from desinc.grid import build_grid
 from desinc.problems import (
-    LRDecompositionError,
     MiuraPivotError,
     TodaState,
     example1,
     example2,
     example3,
-    lr_decompose,
     lv_exact,
     lv_random,
     lv_rhs,
@@ -110,57 +108,6 @@ class TestExamples:
         )
 
 
-class TestLRDecompose:
-    def test_identity(self):
-        low, up = lr_decompose(np.eye(4))
-        assert np.array_equal(low, np.eye(4))
-        assert np.array_equal(up, np.eye(4))
-
-    def test_paper_lower_factor(self):
-        t = 0.7
-        low, up = lr_decompose(expm(t * PAPER_TODA.lax_matrix()))
-        assert low[1, 0] == pytest.approx(math.tanh(t), rel=1e-12)
-        assert np.allclose(low @ up, expm(t * PAPER_TODA.lax_matrix()), rtol=1e-12)
-
-    def test_random_diagonally_dominant(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(5, 5)) + 10.0 * np.eye(5)
-        low, up = lr_decompose(a)
-        assert np.max(np.abs(low @ up - a)) < 1e-12 * np.max(np.abs(a))
-        assert np.allclose(np.diag(low), 1.0)
-        assert np.array_equal(up, np.triu(up))
-
-    def test_zero_pivot_reported(self):
-        with pytest.raises(LRDecompositionError) as err:
-            lr_decompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert err.value.index == 0
-
-    @pytest.mark.parametrize("shape", [(6,), (2, 3)])
-    def test_stack_equals_per_slice(self, shape):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=shape + (4, 4)) + 6.0 * np.eye(4)
-        low, up = lr_decompose(a)
-        assert low.shape == up.shape == a.shape
-        for idx in np.ndindex(*shape):
-            low_k, up_k = lr_decompose(a[idx])
-            assert np.array_equal(low[idx], low_k)
-            assert np.array_equal(up[idx], up_k)
-
-    def test_zero_pivot_in_stack_reported(self):
-        # the third matrix has a zero second pivot, the others none
-        a = np.tile(np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]), (4, 1, 1))
-        a[2] = [[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 2.0]]
-        with pytest.raises(LRDecompositionError) as err:
-            lr_decompose(a)
-        assert (err.value.index, err.value.pivot) == (1, 0.0)
-        assert "index 1" in str(err.value)
-
-    def test_rejects_non_square(self):
-        for bad in (np.ones(3), np.ones((2, 3)), np.ones((4, 2, 3))):
-            with pytest.raises(ValueError):
-                lr_decompose(bad)
-
-
 class TestTodaRhsCheck:
     def test_hand_computed_two_site(self):
         assert toda_rhs_check(PAPER_TODA) == pytest.approx(0.0, abs=1e-14)
@@ -224,6 +171,15 @@ class TestTodaSolve:
         ev0 = np.sort(np.linalg.eigvals(s0.lax_matrix()).real)
         evt = np.sort(np.linalg.eigvals(out.lax_matrix()).real)
         assert np.max(np.abs(ev0 - evt)) < 1e-10
+
+    def test_large_time_raises_instead_of_a_negative_e(self):
+        # exp(tJ) of lv_random(3, 3)'s state is no longer numerically
+        # positive definite at t = 20; the LR loop returned e_2 = -1.9e-9
+        # there, which the Toda flow cannot reach from e > 0
+        rng = np.random.default_rng(3)  # the draw lv_random(3, 3) makes
+        s0 = TodaState(q=rng.uniform(2.5, 3.5, 3), e=rng.uniform(0.25, 0.75, 2))
+        with pytest.raises(ValueError):
+            toda_solve(s0, 20.0)
 
 
 class TestMiura:
@@ -351,6 +307,20 @@ class TestBatchedExact:
         # absolute error of the large ones: ulps of the largest component
         ulp = np.spacing(np.max(np.abs(expected), axis=1, keepdims=True))
         assert np.all(np.abs(tp.exact(ts) - expected) <= 4.0 * ulp)
+
+    @pytest.mark.parametrize("m", [2, 4, 5])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_lv_matches_oracle_at_other_sizes(self, m, seed):
+        # the Cholesky factor of exp(tJ) against the oracle's LR loop on
+        # exp(tA); the LR loop it replaced reached 4 ulps here
+        tp = lv_random(m, seed)
+        rng = np.random.default_rng(seed)  # the draw lv_random makes
+        q0, e0 = rng.uniform(2.5, 3.5, m), rng.uniform(0.25, 0.75, m - 1)
+        ts = build_grid(tp.problem.iv, 64).t
+        uts, where = np.unique(ts, return_inverse=True)
+        expected = np.array([lv_exact_mpmath(q0, e0, t) for t in uts])[where]
+        ulp = np.spacing(np.max(np.abs(expected), axis=1, keepdims=True))
+        assert np.all(np.abs(tp.exact(ts) - expected) <= 5.0 * ulp)
 
     def test_lv_repeated_unsorted_times(self, monkeypatch):
         # each distinct time goes through the Toda pipeline once, and every

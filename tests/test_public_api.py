@@ -53,8 +53,8 @@ def test_package_republishes_each_library_module():
 def test_names_missing_from_the_old_package_list_import():
     # each is public in its module but was left out of the package's own
     # copy of the list, so importing it from desinc was an ImportError
-    from desinc import (LRDecompositionError, MiuraPivotError, RhsEvaluationError,  # noqa: F401
-                        lr_decompose, lv_random, lv_rhs, problem_from_name)
+    from desinc import (MiuraPivotError, RhsEvaluationError, lv_random, lv_rhs,  # noqa: F401
+                        problem_from_name)
 
 
 def _run_python(code: str) -> str:
@@ -121,17 +121,16 @@ COUNTS = [
 NOT_NUMBERS = (True, "1", None, 1j, np.array([0.1, 0.2]))
 # an int above the largest double: below math.inf, but float() of it raises
 HUGE = 10**400
+# the counts that must also be floats: a grid takes log(N)/N and N*h
+FLOAT_COUNTS = [row for row in COUNTS if row[:2] in {("build_grid", "N"), ("DEGrid", "N")}]
 
 # The parameters with these names are the numeric inputs.  RunConfig's
 # messages name three of its fields as the CLI's --n, --max-sweeps and --h
-# do, and UNCHECKED says why no row covers the others.
+# do.
 NUMERIC_NAMES = {"h", "L", "lip", "bound_m", "rho", "tol", "N", "n", "m", "seed", "max_sweeps",
                  "h_override", "n_list"}
 MESSAGE_NAMES = {("RunConfig", "n_list"): "N", ("RunConfig", "max_sweeps"): "max-sweeps",
                  ("RunConfig", "h_override"): "h"}
-UNCHECKED = {
-    ("lr_decompose", "m"): "the matrix to factor",
-}
 
 
 def numeric_parameters():
@@ -141,7 +140,7 @@ def numeric_parameters():
         ("RunConfig", RunConfig)]
     for name, obj in callables:
         for param in inspect.signature(obj).parameters.values():
-            if param.name in NUMERIC_NAMES and (name, param.name) not in UNCHECKED:
+            if param.name in NUMERIC_NAMES:
                 yield name, MESSAGE_NAMES.get((name, param.name), param.name), param.default
 
 
@@ -155,7 +154,7 @@ NONE_IS_DEFAULT = {(name, param) for name, param, default in numeric_parameters(
                  id=f"{name}-{param}-{'10**400' if value is HUGE else repr(value)}")
     for table, values in ((POSITIVE_FINITE, (math.nan, math.inf, 0.0, -1.0, HUGE) + NOT_NUMBERS),
                           (NONNEGATIVE_FINITE, (math.nan, math.inf, -1.0, HUGE) + NOT_NUMBERS),
-                          (COUNTS, (8.0, 8.5, True, -1)))
+                          (COUNTS, (8.0, 8.5, True, -1)), (FLOAT_COUNTS, (HUGE,)))
     for name, param, call in table for value in values
     if not (value is None and (name, param) in NONE_IS_DEFAULT)
 ])
@@ -166,8 +165,8 @@ def test_rejects_bad_input(call, param, value):
     # skipped, a negative or float seed raised numpy's error and seed=True
     # was accepted; a bool L, h or tol was taken for 1, a string, None or
     # complex value raised TypeError and an array numpy's ambiguity error;
-    # an int h, L or tol of 10**400 passed, and converting it to a float
-    # raised OverflowError
+    # an int h, L, tol or grid N of 10**400 passed, and converting it to a
+    # float raised OverflowError
     with pytest.raises(ValueError, match=f"^{re.escape(param)}.* must be "):
         call(value)
 
