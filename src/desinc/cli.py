@@ -21,7 +21,7 @@ from .grid import build_grid
 from .problems import problem_from_name
 from .solver import (DEFAULT_MAX_SWEEPS, DEFAULT_TOL, METHODS, NotConvergedError,
                      reference_solution, solve)
-from .special import check_count, check_positive_finite, is_number
+from .special import check_count, check_positive_finite
 from .weights import build_weights
 
 __all__ = ["RunConfig", "cmd_solve", "cmd_trace", "cmd_analyze", "cmd_dump_weights", "main"]
@@ -229,23 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_config_value(key: str, val) -> None:
-    """Reject a config-file value whose JSON type does not fit its field:
-    the type its flag parses to (a list of integers for n_list), or null
-    where the field defaults to None."""
-    if key == "n_list":
-        expected = "a list of integers"
-        ok = isinstance(val, list) and all(is_number(v, integer=True) for v in val)
-    else:
-        kind = next(kw.get("type", str) for k, kw in _OPTIONS.values() if k == key)
-        expected = {str: "a string", int: "an integer", float: "a number"}[kind]
-        # JSON true/false load as bool, which is no number; a float field takes an int
-        ok = (isinstance(val, str) if kind is str else is_number(val, integer=kind is int)) or (
-            val is None and getattr(RunConfig(), key) is None)
-    if not ok:
-        raise ValueError(f"config key {key!r} must be {expected}, got {json.dumps(val)}")
-
-
 def _parse_n(item: str) -> int:
     try:
         return int(item)
@@ -266,8 +249,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         unknown = set(data) - set(flags)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key, val in data.items():
-            _check_config_value(key, val)
     if flags["n_list"] is not None:
         # parsed here, not by argparse, so that a malformed list is an
         # invalid configuration (exit 2) rather than a usage error

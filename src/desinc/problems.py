@@ -68,16 +68,6 @@ class TodaState:
         if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.e))):
             raise ValueError("state entries must be finite")
 
-    def lax_matrix(self) -> np.ndarray:
-        """Tridiagonal matrix with q on the diagonal, e on the
-        subdiagonal and ones on the superdiagonal; shape (..., m, m)."""
-        i = np.arange(self.m)
-        a = np.zeros(self.q.shape + (self.m,))
-        a[..., i, i] = self.q
-        a[..., i[:-1], i[1:]] = 1.0
-        a[..., i[1:], i[:-1]] = self.e
-        return a
-
 
 class MiuraPivotError(RuntimeError):
     def __init__(self, index: int, value: float):

@@ -6,8 +6,9 @@ double-loop Gauss-Seidel sweep and one with an m-long dot product per
 node, the infinity norm of a dense matrix, the comparison-matrix norm
 through a dense inverse and by a row-by-row forward substitution, its
 row sums by the blocked divide and conquer with every block solved, the
-Toda-lattice commutator check, and the exact Lotka-Volterra solution
-in 40-digit mpmath arithmetic, one time at a time.
+Lax matrix of a Toda state, the Toda-lattice commutator check, and the
+exact Lotka-Volterra solution in 40-digit mpmath arithmetic, one time at
+a time.
 """
 
 from __future__ import annotations
@@ -210,10 +211,16 @@ def mgs_rows_every_block(wm, L, leaf=64):
     return y
 
 
+def lax_matrix(s) -> np.ndarray:
+    """Lax matrix of one Toda state: q on the diagonal, e on the
+    subdiagonal and ones on the superdiagonal."""
+    return np.diag(s.q) + np.diag(np.ones(s.m - 1), 1) + np.diag(s.e, -1)
+
+
 def toda_rhs_check(s) -> float:
     """Maximum deviation of the commutator [A, A_-] from the tridiagonal
     form prescribed by the lattice equations."""
-    a = s.lax_matrix()
+    a = lax_matrix(s)
     a_minus = np.tril(a, k=-1)
     comm = a @ a_minus - a_minus @ a
     expected = np.zeros_like(comm)

@@ -8,9 +8,10 @@ place that calls a problem's rhs and turns its failure into
 RhsEvaluationError: the Gauss-Seidel sweep hands it the updated rows
 rather than keeping a copy of that loop.  In the CLI, cli._grids alone
 builds the problem and the grids, before any command opens its output, and
-a RunConfig is built once, never assigned to or validated afterwards.  A
-grid's nodes are mapped in one place, DEGrid.__post_init__, so they
-follow from its interval, N and h alone."""
+a RunConfig is built once, never assigned to or validated afterwards, and
+is the only check of a configuration value.  A grid's nodes are mapped in
+one place, DEGrid.__post_init__, so they follow from its interval, N and h
+alone.  No module imports a name it neither reads nor exports."""
 
 import ast
 from pathlib import Path
@@ -98,3 +99,21 @@ def test_only_grid_maps_the_nodes():
     callers = _uses(lambda c: getattr(c.func, "id", getattr(c.func, "attr", None))
                     in ("phi_de", "dphi_de"), kind=ast.Call)
     assert callers == {("grid.py", "__post_init__")}
+
+
+def test_no_unused_imports():
+    # a check deleted with its import left behind shows up here
+    unused = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, ast.Import)
+                    or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                    for alias in node.names if alias.name != "*"}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        exported = {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                    for elt in getattr(node.value, "elts", [])}
+        unused |= {(path.name, name) for name in imported - read - exported}
+    assert unused == set()
