@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import IterationTrace, IVProblem
-from .special import Interval, check_count, check_nonnegative_finite, check_positive_finite
+from .special import (Interval, check_count, check_interval, check_nonnegative_finite,
+                      check_positive_finite)
 from .weights import WeightMatrix, _fft_convolve
 
 __all__ = [
@@ -48,10 +49,9 @@ class GSAnalysis:
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    cond_iii_ok: bool | None  # w <= rho / M
-    cond_lbound_ok: bool | None  # the bound hypothesis, see _bound_hypothesis
+    cond_iii_ok: bool | None  # w <= rho / M; None without rho or M
+    cond_lbound_ok: bool | None  # the bound hypothesis, see _bound_hypothesis; None without L
     w: float
-    details: str
 
 
 def mgs_norm_exact(wm: WeightMatrix, L: float) -> float:
@@ -156,6 +156,7 @@ def mgs_bound(L: float, iv: Interval, h: float, N: int) -> float:
     dimension and, with h = log(N)/N, decreases as N grows.
     """
     check_positive_finite("L", L)
+    check_interval(iv)
     check_positive_finite("h", h)
     check_count("N", N, 2)
     # w = 0 checks only the half of the hypothesis that the arguments show
@@ -168,7 +169,8 @@ def mgs_bound(L: float, iv: Interval, h: float, N: int) -> float:
 
 
 def check_assumptions(prob: IVProblem, wm: WeightMatrix) -> AssumptionReport:
-    """Report whether the sufficient conditions for convergence hold.
+    """Report whether the sufficient conditions for convergence hold.  Each
+    flag is None only when the problem lacks a constant its condition uses.
 
     Reporting only: a failed condition does not mean the iteration
     diverges (the condition is sufficient, not necessary).
@@ -177,23 +179,12 @@ def check_assumptions(prob: IVProblem, wm: WeightMatrix) -> AssumptionReport:
         raise ValueError(f"weights on {wm.grid.iv} but problem on {prob.iv}")
     e_rows, df_rows = wm.abs_row_sums
     w = float(np.max(e_rows + df_rows))
-    missing = [name for name, v in
-               (("L", prob.lip), ("M", prob.bound_m), ("rho", prob.rho)) if v is None]
-    if missing:
-        return AssumptionReport(
-            cond_iii_ok=None, cond_lbound_ok=None, w=w,
-            details=f"incomplete: missing constants {', '.join(missing)}",
-        )
     # roundoff allowance: the discrete w approaches b-a from below but can
     # land a few ulps above it, and rho/M often sits exactly on that value
-    cond_iii = w <= prob.rho / prob.bound_m * (1.0 + 1e-12)
-    lhs, cond_lbound = _bound_hypothesis(prob.lip, prob.iv, w)
-    details = (
-        f"w = {w:.6g}, rho/M = {prob.rho / prob.bound_m:.6g}, "
-        f"1.1*L*(b-a) = {lhs:.6g}"
-    )
-    return AssumptionReport(cond_iii_ok=cond_iii, cond_lbound_ok=cond_lbound,
-                            w=w, details=details)
+    cond_iii = (None if prob.rho is None or prob.bound_m is None
+                else w <= prob.rho / prob.bound_m * (1.0 + 1e-12))
+    cond_lbound = None if prob.lip is None else _bound_hypothesis(prob.lip, prob.iv, w)[1]
+    return AssumptionReport(cond_iii_ok=cond_iii, cond_lbound_ok=cond_lbound, w=w)
 
 
 def convergence_factor_observed(trace: IterationTrace) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special import Interval, check_count, check_positive_finite, dphi_de, phi_de
+from .special import Interval, check_count, check_interval, check_positive_finite, dphi_de, phi_de
 
 __all__ = ["DEGrid", "build_grid"]
 
@@ -39,8 +39,7 @@ class DEGrid:
 
     def __post_init__(self):
         iv, N, h = self.iv, self.N, self.h
-        if not isinstance(iv, Interval):
-            raise ValueError(f"iv must be an Interval, got {iv!r}")
+        check_interval(iv)
         check_count("N", N, 2)
         check_positive_finite("N", N)  # an int above the largest double is no float
         h = default_step(N) if h is None else h

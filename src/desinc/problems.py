@@ -252,7 +252,8 @@ def lv_exact(s0: TodaState, t: float | np.ndarray) -> np.ndarray:
     per time.  Each distinct time is solved once (grid times repeat where
     phi saturates at the endpoints) and its row is copied to every repeat."""
     ts, where = np.unique(np.asarray(t, dtype=float), return_inverse=True)
-    return miura_to_lv(toda_solve(s0, ts))[where]
+    # the inverse has t's shape only from numpy 2.0 on; 1.x flattens it
+    return miura_to_lv(toda_solve(s0, ts))[where.reshape(np.shape(t))]
 
 
 _FACTORIES = {"example1": example1, "example2": example2, "example3": example3, "lv": lv_random}

@@ -12,8 +12,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .grid import DEGrid
-from .special import (Interval, check_count, check_nonnegative_finite, check_positive_finite,
-                      j_kernel, phi_de_inv)
+from .special import (Interval, check_count, check_interval, check_nonnegative_finite,
+                      check_positive_finite, j_kernel, phi_de_inv)
 from .weights import WeightMatrix, build_weights
 
 __all__ = [
@@ -91,6 +91,7 @@ class IVProblem:
     rho: float | None = None
 
     def __post_init__(self):
+        check_interval(self.iv)
         if np.iscomplexobj(self.x_a):
             raise ValueError(f"x_a must be real, got {self.x_a}")
         object.__setattr__(self, "x_a", np.atleast_1d(np.asarray(self.x_a, dtype=float)))
@@ -123,15 +124,16 @@ def _fill_rhs(prob: IVProblem, grid: DEGrid, rows: Iterable[np.ndarray],
     """Store rhs(t_k, row k) into fvals[k] at every node k.  rows is state
     or an iterator over its rows, which zip pulls only after it has stored
     the last rhs value.  A failing rhs, or a result of another shape than
-    a node row, raises RhsEvaluationError."""
-    rhs, shape = prob.rhs, prob.x_a.shape
+    a node row or of a complex dtype, raises RhsEvaluationError."""
+    rhs, shape, dtype = prob.rhs, prob.x_a.shape, fvals.dtype
     for node, t, row, f_row in zip(itertools.count(-grid.N), grid.t, rows, fvals):
         try:
             f = rhs(t, row)
-            # the attribute compare costs less than np.shape, which only
-            # a result without a shape attribute (a list, say) needs
+            # the attribute reads are cheap; np.shape and np.iscomplexobj serve the rest
             if getattr(f, "shape", None) != shape and np.shape(f) != shape:
                 raise ValueError(f"rhs returned shape {np.shape(f)}, expected {shape}")
+            if getattr(f, "dtype", None) is not dtype and np.iscomplexobj(f):
+                raise ValueError(f"rhs returned complex values {f!r}, expected real")
             f_row[...] = f
         except Exception as exc:
             raise RhsEvaluationError(node, t, exc) from exc

@@ -59,6 +59,12 @@ def check_count(name: str, v, k: int) -> None:
         raise ValueError(f"{name} must be an integer of at least {k}, got {v!r}")
 
 
+def check_interval(iv) -> None:
+    """Raise ValueError unless iv is an Interval."""
+    if not isinstance(iv, Interval):
+        raise ValueError(f"iv must be an Interval, got {iv!r}")
+
+
 @dataclass(frozen=True)
 class Interval:
     """Finite time interval [a, b] with a < b and a finite length."""

@@ -1,3 +1,4 @@
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -219,13 +220,16 @@ class TestCheckAssumptions:
         with pytest.raises(ValueError, match=r"b=1\.0.*b=0\.5"):
             check_assumptions(tp.problem, wm)
 
-    def test_missing_constants_marked_incomplete(self):
-        prob = IVProblem(rhs=lambda t, x: x, x_a=np.array([1.0]),
-                         iv=Interval(0.0, 1.0))
-        wm = build_weights(build_grid(prob.iv, 4))
-        rep = check_assumptions(prob, wm)
-        assert rep.cond_iii_ok is None and rep.cond_lbound_ok is None
-        assert "incomplete" in rep.details
+    @pytest.mark.parametrize("names", [
+        names for k in range(4) for names in itertools.combinations(("lip", "bound_m", "rho"), k)],
+        ids=lambda names: "+".join(names) or "none")
+    def test_flag_absent_only_without_its_constants(self, names):
+        # with any one of L, M and rho missing both flags were None
+        prob = IVProblem(rhs=lambda t, x: x, x_a=np.array([1.0]), iv=Interval(0.0, 0.5),
+                         **{name: 1.0 for name in names})
+        rep = check_assumptions(prob, build_weights(build_grid(prob.iv, 64)))
+        assert (rep.cond_lbound_ok is None) == ("lip" not in names)
+        assert (rep.cond_iii_ok is None) == ("rho" not in names or "bound_m" not in names)
 
 
 class TestConvergenceFactorObserved:
@@ -427,14 +431,16 @@ def near_bound_hypothesis(draw):
 
 class TestBoundHypothesis:
     @settings(max_examples=60, deadline=None)
-    @given(case=near_bound_hypothesis())
+    @given(case=near_bound_hypothesis(), with_m_rho=st.booleans())
     # analyze gave a finite bound here while check_assumptions reported the
     # hypothesis failed: 1.1 * L * (b - a) and 1.1 * (L * (b - a)) round apart
-    @example(case=(9.494542381883877, 0.0, 0.09574878625277462))
-    def test_bound_absent_exactly_when_hypothesis_fails(self, case):
+    @example(case=(9.494542381883877, 0.0, 0.09574878625277462), with_m_rho=True)
+    # without M and rho, cond_lbound_ok was None whatever L was
+    @example(case=(10.0, 0.0, 0.5), with_m_rho=False)
+    def test_bound_absent_exactly_when_hypothesis_fails(self, case, with_m_rho):
         L, a, b = case
-        prob = IVProblem(rhs=lambda t, x: x, x_a=1.0, iv=Interval(a, b),
-                         lip=L, bound_m=1.0, rho=1.0)
+        consts = {"bound_m": 1.0, "rho": 1.0} if with_m_rho else {}
+        prob = IVProblem(rhs=lambda t, x: x, x_a=1.0, iv=Interval(a, b), lip=L, **consts)
         wm = build_weights(build_grid(prob.iv, 4))
-        assert (analyze(wm, L).mgs_bound is None) == (
-            check_assumptions(prob, wm).cond_lbound_ok is False)
+        assert check_assumptions(prob, wm).cond_lbound_ok == (
+            analyze(wm, L).mgs_bound is not None)

@@ -360,6 +360,23 @@ class TestLvExact:
         ref = rk4(lv_rhs, x0, 0.0, t, step=1e-4)
         assert np.max(np.abs(lv_exact(s0, t) - ref)) < 1e-7
 
+    @pytest.mark.parametrize("t", [0.3, np.array(0.3), np.array([0.3, 0.0, 0.3])])
+    def test_shape_follows_t_under_numpy_1_unique(self, t, monkeypatch):
+        # numpy 1.x returns np.unique's inverse flattened, even for a 0-d
+        # input; indexing with it gave a scalar t a (1, 5) result
+        tp = lv_random(3)
+        expected = tp.exact(t)
+        unique = np.unique
+
+        def flat_inverse_unique(a, **kwargs):
+            values, inverse = unique(a, **kwargs)
+            return values, inverse.ravel()
+
+        monkeypatch.setattr(np, "unique", flat_inverse_unique)
+        got = tp.exact(t)
+        assert got.shape == np.shape(t) + (5,)
+        assert np.array_equal(got, expected)
+
 
 class TestProblemFromName:
     def test_known_names(self):

@@ -533,6 +533,28 @@ class TestSolve:
         assert isinstance(err.value.__cause__, ValueError)
         assert "(1,)" in str(err.value)
 
+    # the filter of RuntimeWarnings to errors turned numpy's ComplexWarning
+    # into one and hid that, without it, the assignment to the node row
+    # dropped the imaginary part: (1+1j)*x on [0, 1/2] converged to
+    # x(1/2) = 1.6487, the answer of x' = x
+    @pytest.mark.filterwarnings("default")
+    @pytest.mark.parametrize("rhs", [lambda t, x: (1 + 1j) * x, lambda t, x: x + 0j,
+                                     lambda t, x: [np.complex128(x[0])]],
+                             ids=["complex", "zero-imaginary", "list"])
+    @pytest.mark.parametrize("stage", ["initial", "gauss_seidel", "jacobi"])
+    def test_complex_rhs_result_rejected(self, stage, rhs):
+        prob = IVProblem(rhs=rhs, x_a=[1.0], iv=Interval(0.0, 0.5))
+        g = build_grid(prob.iv, 16)
+        with pytest.raises(RhsEvaluationError) as err:
+            if stage == "initial":
+                solve(prob, g)
+            else:
+                sweep = gauss_seidel_sweep if stage == "gauss_seidel" else jacobi_sweep
+                sweep(prob, build_weights(g), np.ones((g.m, 1)), np.ones((g.m, 1)))
+        assert (err.value.node, err.value.t) == (-g.N, g.t[0])
+        assert isinstance(err.value.__cause__, ValueError)
+        assert "complex" in str(err.value)
+
     @pytest.mark.parametrize("method", solver.METHODS)
     def test_list_rhs_solves(self, method):
         # a list has no shape attribute, so the check falls back to np.shape

@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import sici
 
-from desinc.grid import build_grid
+from desinc.analysis import mgs_bound
+from desinc.grid import DEGrid, build_grid
 from desinc.solver import IVProblem, evaluate, solve
 from desinc.special import Interval, dphi_de, j_kernel, phi_de, phi_de_inv, si
 
@@ -290,3 +291,16 @@ class TestInterval:
     def test_rejects_int_end_beyond_float_range(self):
         with pytest.raises(ValueError, match="length of interval"):
             Interval(0, 10**400)
+
+    @pytest.mark.parametrize("iv", [(0.0, 0.5), None, 0.5], ids=["tuple", "None", "float"])
+    @pytest.mark.parametrize("make", [
+        lambda iv: build_grid(iv, 8),
+        lambda iv: DEGrid(iv, 8),
+        lambda iv: IVProblem(rhs=lambda t, x: x, x_a=1.0, iv=iv),
+        lambda iv: mgs_bound(1.0, iv, 0.1, 8),
+    ], ids=["build_grid", "DEGrid", "IVProblem", "mgs_bound"])
+    def test_every_iv_argument_must_be_an_interval(self, make, iv):
+        # IVProblem took a tuple, and solve then failed on the grid's
+        # interval; mgs_bound raised AttributeError
+        with pytest.raises(ValueError, match=r"^iv must be an Interval, got "):
+            make(iv)
