@@ -74,10 +74,8 @@ def mgs_norm_exact(wm: WeightMatrix, L: float) -> float:
     nodes at N = 2048 on [0, 1/2]), are skipped.  A block outside the nodes
     with phi' > 0 has the identity as its system, and LAPACK's solve of it
     returns its right side exactly, so y_B = L (df_B + acc_B) is set
-    directly and g_B = 0.  A merge from a block in the front tail adds the
-    convolution of an all-zero g, exact zeros, so it is left out.  y is
-    therefore the same to the bit as when every block is solved (up to the
-    payload of a NaN after an overflow).
+    directly and g_B = 0.  y is therefore the same to the bit as when every
+    block is solved (up to the payload of a NaN after an overflow).
 
     The accuracy is normwise, like that of the row sums of |w|: each
     convolution is off by about eps log2(m) times its largest sum.  The
@@ -126,9 +124,8 @@ def _mgs_rows(wm: WeightMatrix, L: float) -> np.ndarray:
             # the first half of the blocks, rounded up
             mid = lo + _LEAF * ((n + 2 * _LEAF - 1) // (2 * _LEAF))
             solve(lo, mid)
-            if mid > first:  # else g[lo:mid] is 0
-                # row i >= mid gains sum_{lo<=j<mid} |p_{i-j}| g_j
-                y[mid:hi] += _fft_convolve(g[lo:mid], a[1:n], mid - lo - 1, n - 1)
+            # row i >= mid gains sum_{lo<=j<mid} |p_{i-j}| g_j
+            y[mid:hi] += _fft_convolve(g[lo:mid], a[1:n], mid - lo - 1, n - 1)
             solve(mid, hi)
 
         solve(0, m)
@@ -140,7 +137,7 @@ def _bound_hypothesis(L: float, iv: Interval, w: float) -> tuple[float, bool]:
     value is below 1, and w, the largest row sum of |w|, is at most
     1.1 * (b - a)."""
     lhs = 1.1 * (L * iv.length)
-    return lhs, lhs < 1.0 and w <= 1.1 * iv.length
+    return lhs, bool(lhs < 1.0 and w <= 1.1 * iv.length)
 
 
 def mgs_bound(L: float, iv: Interval, h: float, N: int) -> float:
@@ -163,9 +160,9 @@ def mgs_bound(L: float, iv: Interval, h: float, N: int) -> float:
     lhs, holds = _bound_hypothesis(L, iv, 0.0)
     if not holds:
         raise ValueError(f"bound hypothesis violated: 1.1*L*(b-a) = {lhs} >= 1")
-    return L * iv.length * h / (1.0 - lhs) * (
+    return float(L * iv.length * h / (1.0 - lhs) * (
         math.pi / 8.0 + (1.0 + math.log(2 * N)) / (4.0 * math.pi)
-    )
+    ))
 
 
 def check_assumptions(prob: IVProblem, wm: WeightMatrix) -> AssumptionReport:
@@ -182,7 +179,7 @@ def check_assumptions(prob: IVProblem, wm: WeightMatrix) -> AssumptionReport:
     # roundoff allowance: the discrete w approaches b-a from below but can
     # land a few ulps above it, and rho/M often sits exactly on that value
     cond_iii = (None if prob.rho is None or prob.bound_m is None
-                else w <= prob.rho / prob.bound_m * (1.0 + 1e-12))
+                else bool(w <= prob.rho / prob.bound_m * (1.0 + 1e-12)))
     cond_lbound = None if prob.lip is None else _bound_hypothesis(prob.lip, prob.iv, w)[1]
     return AssumptionReport(cond_iii_ok=cond_iii, cond_lbound_ok=cond_lbound, w=w)
 

@@ -229,11 +229,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_n(item: str) -> int:
+def _parse_n(item: str) -> int | str:
+    # an item that is no integer is kept as given, for RunConfig to reject
     try:
         return int(item)
     except ValueError:
-        raise ValueError(f"N must be an integer of at least 2, got {item!r}") from None
+        return item
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:

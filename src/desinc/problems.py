@@ -249,11 +249,8 @@ def miura_to_lv(s: TodaState) -> np.ndarray:
 def lv_exact(s0: TodaState, t: float | np.ndarray) -> np.ndarray:
     """Exact Lotka-Volterra solution at time t for 2m-1 species, from the
     Toda trajectory through s0 of size m; an array of times gives one row
-    per time.  Each distinct time is solved once (grid times repeat where
-    phi saturates at the endpoints) and its row is copied to every repeat."""
-    ts, where = np.unique(np.asarray(t, dtype=float), return_inverse=True)
-    # the inverse has t's shape only from numpy 2.0 on; 1.x flattens it
-    return miura_to_lv(toda_solve(s0, ts))[where.reshape(np.shape(t))]
+    per time, and a repeated time gets the same row bit for bit."""
+    return miura_to_lv(toda_solve(s0, t))
 
 
 _FACTORIES = {"example1": example1, "example2": example2, "example3": example3, "lv": lv_random}

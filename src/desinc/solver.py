@@ -92,13 +92,14 @@ class IVProblem:
 
     def __post_init__(self):
         check_interval(self.iv)
-        if np.iscomplexobj(self.x_a):
-            raise ValueError(f"x_a must be real, got {self.x_a}")
-        object.__setattr__(self, "x_a", np.atleast_1d(np.asarray(self.x_a, dtype=float)))
+        given = self.x_a
+        if np.iscomplexobj(given):
+            raise ValueError(f"x_a must be real, got {given!r}")
+        object.__setattr__(self, "x_a", np.atleast_1d(np.asarray(given, dtype=float)))
         if self.x_a.ndim != 1 or self.x_a.size == 0:
             raise ValueError(f"x_a must be 1-D and nonempty, got shape {self.x_a.shape}")
         if not np.all(np.isfinite(self.x_a)):
-            raise ValueError(f"x_a must be finite, got {self.x_a}")
+            raise ValueError(f"x_a must be finite, got {given!r}")
         for name in ("lip", "bound_m", "rho"):
             if getattr(self, name) is not None:
                 check_positive_finite(name, getattr(self, name))

@@ -104,9 +104,9 @@ def si(x: float) -> float:
     result is sici(x)[0] bit for bit: x * SN(x^2) / SD(x^2) for |x| <= 4,
     and pi/2 - f cos x - g sin x beyond, where f and g are rational in
     z = 1/x^2 with one set of coefficients below 8 and another from 8 on.
-    Si(-x) = -Si(x) exactly; Si(+-0) = +0.0, Si(+-inf) = +-pi/2, and NaN
-    gives NaN.  x is converted with float() first, so a float32 x is
-    evaluated in double precision.
+    Si(-x) = -Si(x) exactly; Si(+-0) = 0.0 * SN(0) / SD(0) = +0.0, as both
+    round to 1.0; Si(+-inf) = +-pi/2, and NaN gives NaN.  x is converted
+    with float() first, so a float32 x is evaluated in double precision.
     """
     # Each Horner chain is written out with Cephes' SN, SD, FN4, FD4, GN4,
     # GD4, FN8, FD8, GN8 and GD8 (the denominators FD* and GD* are monic):
@@ -115,8 +115,6 @@ def si(x: float) -> float:
     # falls through to the asymptotic one, so it has no counterpart here.
     x = float(x)
     a = abs(x)
-    if a == 0.0:
-        return 0.0
     if a <= 4.0:
         z = a * a
         sn = (((((-8.39167827910303881427e-11 * z

@@ -231,6 +231,14 @@ class TestCheckAssumptions:
         assert (rep.cond_lbound_ok is None) == ("lip" not in names)
         assert (rep.cond_iii_ok is None) == ("rho" not in names or "bound_m" not in names)
 
+    @pytest.mark.parametrize("const", [np.float64, np.array], ids=["float64", "0-d"])
+    def test_flags_are_python_bools(self, const):
+        # numpy constants gave numpy.bool flags, which cli._fmt writes as True
+        prob = IVProblem(rhs=lambda t, x: x, x_a=np.array([1.0]), iv=Interval(0.0, 0.5),
+                         lip=const(1.0), bound_m=const(2.0), rho=const(1.0))
+        rep = check_assumptions(prob, build_weights(build_grid(prob.iv, 16)))
+        assert type(rep.cond_iii_ok) is bool and type(rep.cond_lbound_ok) is bool
+
 
 class TestConvergenceFactorObserved:
     def test_geometric_sequence_recovered(self):
@@ -289,6 +297,11 @@ class TestAnalyze:
         assert res.mgs_norm <= res.mgs_bound
         assert res.e_norm <= 1.1 * g.iv.length
         assert res.w <= res.e_norm + res.df_norm + 1e-15
+
+    @pytest.mark.parametrize("const", [np.float64, np.array], ids=["float64", "0-d"])
+    def test_bound_is_python_float(self, const):
+        res = analyze(build_weights(build_grid(Interval(0.0, 0.5), 16)), const(1.0))
+        assert type(res.mgs_bound) is float and type(res.contraction) is bool
 
     def test_bound_absent_when_hypothesis_fails(self):
         g = build_grid(Interval(0.0, 1.0), 8)

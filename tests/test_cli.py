@@ -24,6 +24,15 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def _run_python(args, check=False):
+    """A new Python process with args, which imports this desinc."""
+    src = str(Path(desinc.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120, check=check)
+
+
 class TestSolveCommand:
     def test_example1_reaches_roundoff(self, tmp_path):
         out = tmp_path / "e1.csv"
@@ -171,11 +180,7 @@ class TestAnalyzeCommand:
                 "desinc.cli.main(['solve', '--problem', 'lv:m=3:seed=5', '--n', '8', "
                 "'--out', sys.argv[1] + '/lv.csv']); "
                 "print(mods())")
-        src = str(Path(desinc.__file__).resolve().parent.parent)
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
-                             env=env, capture_output=True, text=True, timeout=120, check=True)
+        out = _run_python(["-c", code, str(tmp_path)], check=True)
         assert out.stdout.split("\n")[:3] == ["[]", "[]", "[]"]
 
     def test_bound_sweep_decreasing(self, tmp_path):
@@ -300,6 +305,13 @@ class TestConfigHandling:
         assert main(["solve", "--n", n_arg]) == EXIT_BAD_CONFIG
         assert capsys.readouterr() == ("", "error: N must be an integer of at least 2, "
                                            f"got {item!r}\n")
+
+    def test_non_integer_n_checked_in_field_order(self, tmp_path, capsys):
+        # RunConfig checks problem before N, as for a config file's n_list
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"problem": 3}))
+        assert main(["solve", "--config", str(cfgfile), "--n", "x,1"]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr() == ("", "error: problem must be a string, got 3\n")
 
     @pytest.mark.parametrize("data, message", [
         pytest.param({"n_list": [8], "tol": 0.0}, "tol must be positive and finite, got 0.0",
@@ -580,3 +592,16 @@ class TestParserReuse:
         assert main(["solve", "--n", "8", "--out", str(b)]) == EXIT_OK
         assert read_csv(a)[1][1] == "0.05"
         assert read_csv(b)[1][1] == repr(math.log(8) / 8)
+
+
+class TestModuleEntry:
+    def test_python_m_runs_main(self):
+        out = _run_python(["-m", "desinc.cli", "solve", "--n", "8"])
+        assert (out.returncode, out.stderr) == (EXIT_OK, "")
+        assert out.stdout.splitlines()[0] == "N,h,E1,sweeps,converged"
+        assert out.stdout.splitlines()[1].startswith("8,")
+
+    def test_python_m_exits_with_main_status(self):
+        out = _run_python(["-m", "desinc.cli", "solve", "--n", "1"])
+        assert (out.returncode, out.stdout) == (EXIT_BAD_CONFIG, "")
+        assert out.stderr == "error: N must be an integer of at least 2, got 1\n"

@@ -57,6 +57,17 @@ class TestIVProblem:
         with pytest.raises(ValueError, match="x_a"):
             IVProblem(rhs=lv_rhs, x_a=x_a, iv=Interval(0.0, 1.0))
 
+    # an array and a list of the same values both read "got [nan]"
+    @pytest.mark.parametrize("x_a, message", [
+        ([math.nan], "x_a must be finite, got [nan]"),
+        (np.array([math.nan]), "x_a must be finite, got array([nan])"),
+        (np.array([1 + 1j]), "x_a must be real, got array([1.+1.j])"),
+    ])
+    def test_rejected_x_a_shown_with_repr(self, x_a, message):
+        with pytest.raises(ValueError) as err:
+            IVProblem(rhs=lv_rhs, x_a=x_a, iv=Interval(0.0, 1.0))
+        assert str(err.value) == message
+
     # lip=-5, bound_m=-1 made check_assumptions report cond_lbound_ok, and
     # lip=nan, rho=inf made it report cond_iii_ok
     @pytest.mark.parametrize("consts", [
