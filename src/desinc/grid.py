@@ -16,6 +16,10 @@ from .special import Interval, check_count, check_interval, check_positive_finit
 
 __all__ = ["DEGrid", "build_grid"]
 
+# the largest N whose 2N+1 float64 nodes fit numpy's size limit, 2**59 - 1 on
+# a 64-bit host; np.arange raises beyond it, and makes no nodes from 2**62 on
+_MAX_N = (np.iinfo(np.intp).max // 8 - 1) // 2
+
 
 @dataclass(frozen=True)
 class DEGrid:
@@ -41,7 +45,8 @@ class DEGrid:
         iv, N, h = self.iv, self.N, self.h
         check_interval(iv)
         check_count("N", N, 2)
-        check_positive_finite("N", N)  # an int above the largest double is no float
+        if N > _MAX_N:
+            raise ValueError(f"N must be at most {_MAX_N}, got {N!r}")
         h = default_step(N) if h is None else h
         check_positive_finite("h", h)
         if not math.isfinite(float(N) * float(h)):  # numpy scalars would warn on overflow

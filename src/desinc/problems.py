@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .solver import IVProblem
-from .special import Interval, check_count
+from .special import Interval, check_count, real_array
 
 __all__ = [
     "TestProblem",
@@ -27,7 +27,6 @@ __all__ = [
     "miura_to_lv",
     "lv_exact",
     "lv_rhs",
-    "MiuraPivotError",
     "problem_from_name",
 ]
 
@@ -61,21 +60,12 @@ class TodaState:
         return self.q.shape[-1]
 
     def __post_init__(self):
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
-        object.__setattr__(self, "e", np.asarray(self.e, dtype=float))
+        object.__setattr__(self, "q", real_array("q", self.q))
+        object.__setattr__(self, "e", real_array("e", self.e))
         if self.q.ndim < 1 or self.e.shape != self.q.shape[:-1] + (self.m - 1,):
             raise ValueError("q must be at least 1-D and e of shape q.shape[:-1] + (m-1,)")
         if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.e))):
             raise ValueError("state entries must be finite")
-
-
-class MiuraPivotError(RuntimeError):
-    def __init__(self, index: int, value: float):
-        super().__init__(
-            f"Miura map undefined: x_{index} = {value:.3e} is too close to zero"
-        )
-        self.index = index
-        self.value = value
 
 
 def example1() -> TestProblem:
@@ -88,7 +78,7 @@ def example1() -> TestProblem:
         bound_m=2.0,
         rho=1.0,
     )
-    return TestProblem(problem=prob, exact=lambda t: np.exp(np.asarray(t, dtype=float))[..., None],
+    return TestProblem(problem=prob, exact=lambda t: np.exp(real_array("t", t))[..., None],
                        name="example1")
 
 
@@ -116,7 +106,7 @@ def example2(n: int = 11) -> TestProblem:
         # an elementwise product summed over its last axis rounds every
         # row alike, where a matrix product may not between a stack and a
         # single row
-        c = coeff * np.exp(-rates * np.asarray(t, dtype=float)[..., None])
+        c = coeff * np.exp(-rates * real_array("t", t)[..., None])
         return (modes * c[..., None, :]).sum(axis=-1)
 
     prob = IVProblem(
@@ -143,7 +133,7 @@ def example3() -> TestProblem:
     solution built from the 2-site Toda lattice."""
 
     def exact(t: float | np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
+        t = real_array("t", t)
         ch, th = np.cosh(t), np.tanh(t)
         x2 = 1.0 / (ch * (2.0 * ch + np.sinh(t)))
         return np.stack([2.0 + th, x2, 2.0 - th - x2], axis=-1)
@@ -208,7 +198,7 @@ def toda_solve(s0: TodaState, t: float | np.ndarray) -> TodaState:
     j[..., i, i] = s0.q
     j[..., i[:-1], i[1:]] = j[..., i[1:], i[:-1]] = r
     lam, v = np.linalg.eigh(j)
-    t = np.asarray(t, dtype=float)[..., None]
+    t = real_array("t", t)[..., None]
     ex = np.exp(t * lam)
     # exp(tJ) summed over the eigenpairs elementwise, which rounds every
     # time alike, where a matrix product may not between a stack and one time
@@ -240,7 +230,8 @@ def miura_to_lv(s: TodaState) -> np.ndarray:
         odd = x[..., 2 * k - 2]  # x_{2k-1} in 1-based indexing
         small = np.abs(odd) <= thresh
         if np.any(small):
-            raise MiuraPivotError(2 * k - 1, float(odd[small][0]))
+            raise ValueError(f"Miura map undefined: x_{2 * k - 1} = {odd[small][0]:.3e} "
+                             "is too close to zero")
         x[..., 2 * k - 1] = s.e[..., k - 1] / odd
         x[..., 2 * k] = s.q[..., k] - x[..., 2 * k - 1] - 1.0
     return x

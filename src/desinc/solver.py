@@ -13,7 +13,7 @@ import numpy as np
 
 from .grid import DEGrid
 from .special import (Interval, check_count, check_interval, check_nonnegative_finite,
-                      check_positive_finite, j_kernel, phi_de_inv)
+                      check_positive_finite, j_kernel, phi_de_inv, real_array)
 from .weights import WeightMatrix, build_weights
 
 __all__ = [
@@ -93,9 +93,7 @@ class IVProblem:
     def __post_init__(self):
         check_interval(self.iv)
         given = self.x_a
-        if np.iscomplexobj(given):
-            raise ValueError(f"x_a must be real, got {given!r}")
-        object.__setattr__(self, "x_a", np.atleast_1d(np.asarray(given, dtype=float)))
+        object.__setattr__(self, "x_a", np.atleast_1d(real_array("x_a", given)))
         if self.x_a.ndim != 1 or self.x_a.size == 0:
             raise ValueError(f"x_a must be 1-D and nonempty, got shape {self.x_a.shape}")
         if not np.all(np.isfinite(self.x_a)):
@@ -125,17 +123,15 @@ def _fill_rhs(prob: IVProblem, grid: DEGrid, rows: Iterable[np.ndarray],
     """Store rhs(t_k, row k) into fvals[k] at every node k.  rows is state
     or an iterator over its rows, which zip pulls only after it has stored
     the last rhs value.  A failing rhs, or a result of another shape than
-    a node row or of a complex dtype, raises RhsEvaluationError."""
+    a node row or of no real dtype, raises RhsEvaluationError."""
     rhs, shape, dtype = prob.rhs, prob.x_a.shape, fvals.dtype
     for node, t, row, f_row in zip(itertools.count(-grid.N), grid.t, rows, fvals):
         try:
             f = rhs(t, row)
-            # the attribute reads are cheap; np.shape and np.iscomplexobj serve the rest
+            # the attribute reads are cheap; np.shape and real_array serve the rest
             if getattr(f, "shape", None) != shape and np.shape(f) != shape:
                 raise ValueError(f"rhs returned shape {np.shape(f)}, expected {shape}")
-            if getattr(f, "dtype", None) is not dtype and np.iscomplexobj(f):
-                raise ValueError(f"rhs returned complex values {f!r}, expected real")
-            f_row[...] = f
+            f_row[...] = f if getattr(f, "dtype", None) is dtype else real_array("rhs result", f)
         except Exception as exc:
             raise RhsEvaluationError(node, t, exc) from exc
 

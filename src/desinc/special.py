@@ -35,6 +35,13 @@ def is_number(v, integer: bool = False) -> bool:
         or isinstance(v, np.ndarray) and v.ndim == 0 and v.dtype.kind in "iuf"))
 
 
+def real_array(name: str, v) -> np.ndarray:
+    """v as a float array; ValueError naming name unless np.asarray reads it as ints or floats."""
+    if np.asarray(v).dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be real, got {v!r}")
+    return np.asarray(v, dtype=float)
+
+
 # the largest double: an int above it is below math.inf but no float
 _FLOAT_MAX = sys.float_info.max
 

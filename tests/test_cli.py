@@ -560,11 +560,12 @@ class TestConfigHandling:
     def test_count_beyond_the_float_range_writes_nothing(self, tmp_path, monkeypatch, capsys):
         # an N above the largest double passed the count check, and
         # log(N)/N raised an OverflowError that main printed as a
-        # traceback, exit 1
+        # traceback, exit 1; the grid's bound on N, 2**59 - 1 on a 64-bit
+        # host, now rejects it
         monkeypatch.chdir(tmp_path)
         assert main(["solve", "--n", "1" + "0" * 400, "--out", "out.csv"]) == EXIT_BAD_CONFIG
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: N must be positive and finite, got 1000")
+        assert out == "" and err.startswith("error: N must be at most ") and "got 1000" in err
         assert os.listdir() == []
 
 

@@ -10,7 +10,6 @@ from scipy.linalg import expm
 from desinc import problems
 from desinc.grid import build_grid
 from desinc.problems import (
-    MiuraPivotError,
     TodaState,
     example1,
     example2,
@@ -182,6 +181,15 @@ class TestTodaSolve:
             toda_solve(s0, 20.0)
 
 
+    # a string time was read as a number, and a complex one raised TypeError
+    @pytest.mark.parametrize("t", ["0.5", b"1", True, [True, False], [0.5j], {}], ids=repr)
+    def test_rejects_time_not_real(self, t):
+        with pytest.raises(ValueError, match="^t must be real, got "):
+            toda_solve(PAPER_TODA, t)
+        with pytest.raises(ValueError, match="^t must be real, got "):
+            lv_exact(PAPER_TODA, t)
+
+
 class TestMiura:
     def test_paper_initial_values(self):
         assert np.allclose(miura_to_lv(PAPER_TODA), [2.0, 0.5, 1.5], atol=0)
@@ -198,17 +206,16 @@ class TestMiura:
 
     def test_near_zero_pivot_rejected(self):
         s = TodaState(q=np.array([1.0, 3.0]), e=np.array([1.0]))  # x_1 = 0
-        with pytest.raises(MiuraPivotError):
+        with pytest.raises(ValueError, match="^Miura map undefined: x_1 "):
             miura_to_lv(s)
 
     def test_near_zero_pivot_in_stack_reported(self):
         # x_3 = q_2 - e_1/(q_1 - 1) - 1 vanishes in the second state only
         q = np.array([[3.0, 3.0, 3.0], [3.0, 1.5, 3.0], [3.0, 3.0, 3.0]])
         s = TodaState(q=q, e=np.ones((3, 2)))
-        with pytest.raises(MiuraPivotError) as err:
+        with pytest.raises(ValueError) as err:
             miura_to_lv(s)
-        assert (err.value.index, err.value.value) == (3, 0.0)
-        assert "x_3" in str(err.value)
+        assert str(err.value) == "Miura map undefined: x_3 = 0.000e+00 is too close to zero"
 
     def test_stack_equals_per_state(self):
         rng = np.random.default_rng(19)
@@ -254,6 +261,17 @@ class TestTodaStateStack:
         with pytest.raises(ValueError, match="state entries must be finite"):
             TodaState(**entries)
 
+    # strings and bytes were read as numbers, and a dict or complex entry
+    # raised numpy's TypeError
+    @pytest.mark.parametrize("field, bad", [
+        ("q", ["3", "3"]), ("q", [b"3", b"3"]), ("q", [True, True]), ("q", {}),
+        ("q", [3.0, None]), ("q", [3.0, 2**70]), ("e", ["1"]), ("e", [1j]), ("e", [True]),
+    ], ids=repr)
+    def test_rejects_entries_not_real(self, field, bad):
+        entries = {"q": [3.0, 3.0], "e": [1.0], field: bad}
+        with pytest.raises(ValueError, match=f"^{field} must be real, got "):
+            TodaState(**entries)
+
 
 def _exact_problems():
     return [example1(), example2(11), example3()] + [lv_random(3, seed) for seed in range(8)]
@@ -274,6 +292,13 @@ class TestBatchedExact:
         assert scalar.shape == stacked.shape
         assert np.array_equal(stacked, scalar)
         assert tp.exact(ts[:0]).shape == (0, tp.problem.x_a.size)
+
+    # example1 took '0.5' for 0.5, and every exact took True for 1.0
+    @pytest.mark.parametrize("t", ["0.5", b"1", True, [True, False], [0.5j], {}], ids=repr)
+    @pytest.mark.parametrize("tp", _exact_problems()[:4], ids=lambda tp: tp.name)
+    def test_rejects_time_not_real(self, tp, t):
+        with pytest.raises(ValueError, match="^t must be real, got "):
+            tp.exact(t)
 
     def test_example1_matches_math_exp(self):
         ts = np.random.default_rng(1).uniform(0.0, 0.5, 2000)
@@ -396,3 +421,14 @@ class TestProblemFromName:
         monkeypatch.setitem(problems._FACTORIES, "example2", broken)
         with pytest.raises(TypeError, match="inside the factory"):
             problem_from_name("example2:n=5")
+
+    def test_pivot_in_lv_spec_is_a_bad_parameter(self, monkeypatch):
+        # a problem whose state hits a zero pivot is a bad value like any
+        # other, so problem_from_name names the spec, where
+        # the old MiuraPivotError, a RuntimeError, passed through
+        def pivot(m):
+            return miura_to_lv(TodaState(q=np.array([1.0, 3.0]), e=np.array([1.0])))
+
+        monkeypatch.setitem(problems._FACTORIES, "lv", pivot)
+        with pytest.raises(ValueError, match=r"^bad parameters in problem 'lv:m=2': Miura map"):
+            problem_from_name("lv:m=2")

@@ -53,8 +53,7 @@ def test_package_republishes_each_library_module():
 def test_names_missing_from_the_old_package_list_import():
     # each is public in its module but was left out of the package's own
     # copy of the list, so importing it from desinc was an ImportError
-    from desinc import (MiuraPivotError, RhsEvaluationError, lv_random, lv_rhs,  # noqa: F401
-                        problem_from_name)
+    from desinc import RhsEvaluationError, lv_random, lv_rhs, problem_from_name  # noqa: F401
 
 
 def _run_python(code: str) -> str:
@@ -121,8 +120,9 @@ COUNTS = [
 NOT_NUMBERS = (True, "1", None, 1j, np.array([0.1, 0.2]))
 # an int above the largest double: below math.inf, but float() of it raises
 HUGE = 10**400
-# the counts that must also be floats: a grid takes log(N)/N and N*h
-FLOAT_COUNTS = [row for row in COUNTS if row[:2] in {("build_grid", "N"), ("DEGrid", "N")}]
+# the counts that size an array: a grid's 2N+1 float64 nodes must fit numpy's
+# size limit, so N is at most 2**59 - 1
+ARRAY_COUNTS = [row for row in COUNTS if row[:2] in {("build_grid", "N"), ("DEGrid", "N")}]
 
 # The parameters with these names are the numeric inputs.  RunConfig's
 # messages name three of its fields as the CLI's --n, --max-sweeps and --h
@@ -154,7 +154,7 @@ NONE_IS_DEFAULT = {(name, param) for name, param, default in numeric_parameters(
                  id=f"{name}-{param}-{'10**400' if value is HUGE else repr(value)}")
     for table, values in ((POSITIVE_FINITE, (math.nan, math.inf, 0.0, -1.0, HUGE) + NOT_NUMBERS),
                           (NONNEGATIVE_FINITE, (math.nan, math.inf, -1.0, HUGE) + NOT_NUMBERS),
-                          (COUNTS, (8.0, 8.5, True, -1)), (FLOAT_COUNTS, (HUGE,)))
+                          (COUNTS, (8.0, 8.5, True, -1)), (ARRAY_COUNTS, (2**59, 2**62, HUGE)))
     for name, param, call in table for value in values
     if not (value is None and (name, param) in NONE_IS_DEFAULT)
 ])
@@ -166,7 +166,8 @@ def test_rejects_bad_input(call, param, value):
     # was accepted; a bool L, h or tol was taken for 1, a string, None or
     # complex value raised TypeError and an array numpy's ambiguity error;
     # an int h, L, tol or grid N of 10**400 passed, and converting it to a
-    # float raised OverflowError
+    # float raised OverflowError; a grid N of 2**59 raised numpy's "array is
+    # too big", and one of 2**62 built a grid with no nodes
     with pytest.raises(ValueError, match=f"^{re.escape(param)}.* must be "):
         call(value)
 

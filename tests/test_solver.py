@@ -68,6 +68,16 @@ class TestIVProblem:
             IVProblem(rhs=lv_rhs, x_a=x_a, iv=Interval(0.0, 1.0))
         assert str(err.value) == message
 
+    # the string, bytes and bools were read as numbers; ['a'] raised numpy's
+    # ValueError, {} its TypeError and 10**400 OverflowError, and [1, None]
+    # read "x_a must be finite", None being taken for nan
+    @pytest.mark.parametrize("x_a", ["1.5", b"1", True, [True], ["a"], {}, [1, None], 10**400,
+                                     [1 + 0j]],
+                             ids=lambda v: "10**400" if v == 10**400 else repr(v))
+    def test_rejects_x_a_not_real(self, x_a):
+        with pytest.raises(ValueError, match=r"^x_a must be real, got "):
+            IVProblem(rhs=lv_rhs, x_a=x_a, iv=Interval(0.0, 1.0))
+
     # lip=-5, bound_m=-1 made check_assumptions report cond_lbound_ok, and
     # lip=nan, rho=inf made it report cond_iii_ok
     @pytest.mark.parametrize("consts", [
@@ -564,7 +574,15 @@ class TestSolve:
                 sweep(prob, build_weights(g), np.ones((g.m, 1)), np.ones((g.m, 1)))
         assert (err.value.node, err.value.t) == (-g.N, g.t[0])
         assert isinstance(err.value.__cause__, ValueError)
-        assert "complex" in str(err.value)
+        assert "rhs result must be real, got " in str(err.value)
+
+    # a result of strings or bools was stored as numbers
+    @pytest.mark.parametrize("rhs", [lambda t, x: np.array(["1.0"]), lambda t, x: [True],
+                                     lambda t, x: np.array([True])],
+                             ids=["str", "bool-list", "bool-array"])
+    @pytest.mark.parametrize("stage", ["initial", "gauss_seidel", "jacobi"])
+    def test_rhs_result_of_text_or_bools_rejected(self, stage, rhs):
+        self.test_complex_rhs_result_rejected(stage, rhs)
 
     @pytest.mark.parametrize("method", solver.METHODS)
     def test_list_rhs_solves(self, method):

@@ -11,7 +11,9 @@ builds the problem and the grids, before any command opens its output, and
 a RunConfig is built once, never assigned to or validated afterwards, and
 is the only check of a configuration value.  A grid's nodes are mapped in
 one place, DEGrid.__post_init__, so they follow from its interval, N and h
-alone.  No module imports a name it neither reads nor exports."""
+alone.  Whether a caller's value is real is judged by one dtype-kind rule in
+special.py, which alone converts such a value to a float array.  No module
+imports a name it neither reads nor exports."""
 
 import ast
 from pathlib import Path
@@ -99,6 +101,17 @@ def test_only_grid_maps_the_nodes():
     callers = _uses(lambda c: getattr(c.func, "id", getattr(c.func, "attr", None))
                     in ("phi_de", "dphi_de"), kind=ast.Call)
     assert callers == {("grid.py", "__post_init__")}
+
+
+def test_only_special_judges_a_real_value():
+    # np.iscomplexobj let strings, bytes, bools and objects through
+    assert _uses(lambda a: a.attr == "iscomplexobj") == set()
+    kinds = _uses(lambda c: c.value == "iuf", kind=ast.Constant)
+    assert kinds and {path for path, _ in kinds} == {"special.py"}
+    to_float = _uses(lambda c: getattr(c.func, "attr", None) == "asarray" and any(
+        k.arg == "dtype" and getattr(k.value, "id", None) == "float" for k in c.keywords),
+        kind=ast.Call)
+    assert {path for path, _ in to_float} == {"special.py"}
 
 
 def test_no_unused_imports():
