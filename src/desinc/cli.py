@@ -12,7 +12,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .grid import build_grid
 from .problems import problem_from_name
 from .solver import (DEFAULT_MAX_SWEEPS, DEFAULT_TOL, METHODS, NotConvergedError,
                      reference_solution, solve)
-from .special import check_count, check_positive_finite
+from .special import check_count, check_positive_finite, read
 from .weights import build_weights
 
 __all__ = ["RunConfig", "cmd_solve", "cmd_trace", "cmd_analyze", "cmd_dump_weights", "main"]
@@ -201,14 +201,17 @@ _COMMANDS = {
 
 # Every option in --help order: flag -> (the RunConfig field it sets, which
 # is also its config-file key; argparse keywords).  --config sets no field:
-# its file is applied first, then the flags that were given.
+# its file is applied first, then the flags that were given.  A type only
+# reads its text, so that RunConfig alone judges a value, as it does a file's.
 _OPTIONS = {
     "--problem": ("problem", {"help": "example1 | example2:n=11 | example3 | lv:m=3:seed=0"}),
-    "--n": ("n_list", {"help": "comma-separated list of N values"}),
-    "--method": ("method", {"choices": METHODS}),
-    "--tol": ("tol", {"type": float}),
-    "--max-sweeps": ("max_sweeps", {"type": int}),
-    "--h": ("h_override", {"type": float, "help": "override the default step log(N)/N"}),
+    "--n": ("n_list", {"type": lambda text: [read(int, v) for v in text.split(",") if v],
+                       "help": "comma-separated list of N values"}),
+    "--method": ("method", {"help": " | ".join(METHODS)}),
+    "--tol": ("tol", {"type": partial(read, float)}),
+    "--max-sweeps": ("max_sweeps", {"type": partial(read, int)}),
+    "--h": ("h_override", {"type": partial(read, float),
+                           "help": "override the default step log(N)/N"}),
     "--out": ("output", {"help": "output CSV path ('-' for stdout)"}),
     "--config": (None, {"help": "JSON config file; flags override its values"}),
     "--plot-script": ("plot_script", {"help": "also write a companion matplotlib script"}),
@@ -229,14 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_n(item: str) -> int | str:
-    # an item that is no integer is kept as given, for RunConfig to reject
-    try:
-        return int(item)
-    except ValueError:
-        return item
-
-
 def _load_config(args: argparse.Namespace) -> RunConfig:
     # argparse stores --max-sweeps as args.max_sweeps
     flags = {key: getattr(args, flag[2:].replace("-", "_"))
@@ -244,16 +239,15 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     data = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except ValueError as err:  # a JSON or UTF-8 decode error
+                raise ValueError(f"config file {args.config!r} is not JSON: {err}") from None
         if not isinstance(data, dict):
             raise ValueError(f"config file must hold a JSON object, got {json.dumps(data)}")
         unknown = set(data) - set(flags)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    if flags["n_list"] is not None:
-        # parsed here, not by argparse, so that a malformed list is an
-        # invalid configuration (exit 2) rather than a usage error
-        flags["n_list"] = [_parse_n(v) for v in flags["n_list"].split(",") if v]
     data.update((key, val) for key, val in flags.items() if val is not None)
     cfg = RunConfig(**data)
     # only here is the config path known; an output naming it would replace it

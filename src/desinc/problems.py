@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .solver import IVProblem
-from .special import Interval, check_count, real_array
+from .special import Interval, check_count, read, real_array
 
 __all__ = [
     "TestProblem",
@@ -249,7 +249,8 @@ _FACTORIES = {"example1": example1, "example2": example2, "example3": example3, 
 
 def problem_from_name(spec: str) -> TestProblem:
     """Resolve a problem name like 'example1', 'example2:n=11', 'example3'
-    or 'lv:m=3:seed=7'.  Every error names the spec."""
+    or 'lv:m=3:seed=7'.  Every error names the spec; a parameter's text is
+    read as an integer where it is one, and judged by the factory alone."""
 
     def bad(reason) -> ValueError:
         return ValueError(f"bad parameters in problem {spec!r}: {reason}")
@@ -262,10 +263,7 @@ def problem_from_name(spec: str) -> TestProblem:
             raise ValueError(f"malformed problem parameter {p!r} in {spec!r}")
         if key in params:
             raise bad(f"{key} given twice")
-        try:
-            params[key] = int(val)
-        except ValueError:
-            raise bad(f"{key} must be an integer, got {val!r}") from None
+        params[key] = read(int, val)
     factory = _FACTORIES.get(name)
     if factory is None:
         raise ValueError(f"unknown problem {spec!r}")

@@ -35,11 +35,23 @@ def is_number(v, integer: bool = False) -> bool:
         or isinstance(v, np.ndarray) and v.ndim == 0 and v.dtype.kind in "iuf"))
 
 
+def read(conv, text: str):
+    """conv(text), or text unchanged where conv raises ValueError: a reader
+    of command-line text, which leaves every judgement to the value's owner."""
+    try:
+        return conv(text)
+    except ValueError:
+        return text
+
+
 def real_array(name: str, v) -> np.ndarray:
     """v as a float array; ValueError naming name unless np.asarray reads it as ints or floats."""
-    if np.asarray(v).dtype.kind not in "iuf":
-        raise ValueError(f"{name} must be real, got {v!r}")
-    return np.asarray(v, dtype=float)
+    try:
+        if np.asarray(v).dtype.kind in "iuf":
+            return np.asarray(v, dtype=float)
+    except ValueError:  # a ragged nested list, which numpy cannot shape
+        pass
+    raise ValueError(f"{name} must be real, got {v!r}")
 
 
 # the largest double: an int above it is below math.inf but no float

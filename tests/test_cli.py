@@ -270,6 +270,17 @@ def test_help_keeps_short_metavars(capsys, command):
         assert item in usage
 
 
+# (flag, its RunConfig field, a text that the flag does not read as a
+# number): 1.5 and 1e3 are floats, so valid values of --tol and --h
+UNREAD_FLAG_TEXTS = [(flag, key, text) for flag, key, texts in [
+    ("--tol", "tol", ["abc", "0x10", ""]),
+    ("--h", "h_override", ["abc", "0x10", ""]),
+    ("--max-sweeps", "max_sweeps", ["abc", "0x10", "1.5", "1e3", ""]),
+    ("--n", "n_list", ["abc", "0x10", "1.5", "1e3", ""]),
+    ("--method", "method", ["abc", "0x10", "1.5", "1e3", ""]),
+] for text in texts]
+
+
 def _rejected_by_main(data, capsys) -> str:
     """The message with which RunConfig(**data) raises, after checking that
     main, run in an empty directory, rejects a config file holding data
@@ -388,14 +399,18 @@ class TestConfigHandling:
     @pytest.mark.parametrize("spec, reason", [pytest.param(spec, reason, id=spec) for spec, reason in [
         ("lv:m=3:m=4", "m given twice"),
         ("example2:n=11:n=13", "n given twice"),
-        ("example2:n=abc", "n must be an integer, got 'abc'"),
+        ("example2:n=abc", "n must be an integer of at least 3, got 'abc'"),
         ("lv:m=3:seed=-1", "seed must be an integer of at least 0, got -1"),
         ("example2:n=4", "n must be odd and at least 3, got 4"),
         ("lv:m=1", "m must be an integer of at least 2, got 1"),
+        ("lv:m=x", "m must be an integer of at least 2, got 'x'"),
+        ("lv:m=1.5", "m must be an integer of at least 2, got '1.5'"),
+        ("lv:m=3:seed=x", "seed must be an integer of at least 0, got 'x'"),
     ]])
     def test_problem_spec_errors_name_the_spec(self, capsys, spec, reason):
         # a repeated key used to solve with its last value and exit 0; the
-        # others exited 2 without naming the spec
+        # others exited 2 without naming the spec.  A text that is no
+        # integer is judged by the factory, as an integer out of range is
         assert main(["solve", "--problem", spec, "--n", "8"]) == EXIT_BAD_CONFIG
         out, err = capsys.readouterr()
         assert out == ""
@@ -421,6 +436,40 @@ class TestConfigHandling:
             Path("cfg.json").write_text(json.dumps({key: val}))
             args = cli._build_parser().parse_args(["solve", "--config", "cfg.json"])
             assert getattr(cli._load_config(args), key) == val
+
+    @pytest.mark.parametrize("flag, key, text", UNREAD_FLAG_TEXTS,
+                             ids=[f"{flag}={text!r}" for flag, _, text in UNREAD_FLAG_TEXTS])
+    def test_flag_text_judged_as_in_a_config_file(self, tmp_path, monkeypatch, capsys,
+                                                  flag, key, text):
+        # argparse judged --tol, --h, --max-sweeps and --method itself, with
+        # a usage block and a message of its own; now RunConfig alone does
+        def run(argv, data=None):
+            work = tmp_path / ("file" if data else "flag")
+            work.mkdir()
+            monkeypatch.chdir(work)
+            if data:
+                Path("cfg.json").write_text(json.dumps(data))
+            status = main(["solve", "--out", "out.csv", *argv])
+            return status, capsys.readouterr(), sorted(os.listdir())
+
+        # the flag's items, as a config file's n_list holds them
+        val = [v for v in text.split(",") if v] if key == "n_list" else text
+        by_flag = run([flag, text])
+        by_file = run(["--config", "cfg.json"], {key: val})
+        assert by_flag[:2] == by_file[:2]
+        assert by_flag[0] == EXIT_BAD_CONFIG and by_flag[1].out == ""
+        assert by_flag[1].err.startswith("error: ") and "usage" not in by_flag[1].err
+        assert (by_flag[2], by_file[2]) == ([], ["cfg.json"])
+
+    @pytest.mark.parametrize("content", [b"{bad", b"\xff\xfe{}"], ids=["not-json", "not-utf-8"])
+    def test_config_file_not_json_is_named(self, tmp_path, monkeypatch, capsys, content):
+        # the decoder's message used to reach stderr alone
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_bytes(content)
+        assert main(["solve", "--config", "cfg.json", "--out", "out.csv"]) == EXIT_BAD_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: config file 'cfg.json' is not JSON: ")
+        assert os.listdir() == ["cfg.json"]
 
     @pytest.mark.parametrize("text", ["5", "null", "[8]"])
     def test_config_file_not_an_object_exits_2(self, tmp_path, capsys, text):

@@ -21,6 +21,8 @@ from desinc.problems import (
     problem_from_name,
     toda_solve,
 )
+from desinc.solver import IVProblem
+from desinc.special import Interval
 
 from oracles import lax_matrix, lv_exact_mpmath, rk4, toda_rhs_check
 
@@ -432,3 +434,17 @@ class TestProblemFromName:
         monkeypatch.setitem(problems._FACTORIES, "lv", pivot)
         with pytest.raises(ValueError, match=r"^bad parameters in problem 'lv:m=2': Miura map"):
             problem_from_name("lv:m=2")
+
+
+@pytest.mark.parametrize("name, call", [
+    ("x_a", lambda v: IVProblem(rhs=lambda t, x: x, x_a=v, iv=Interval(0.0, 1.0))),
+    ("q", lambda v: TodaState(q=v, e=[1.0])),
+    ("t", lambda v: example1().exact(v)),
+    ("t", lambda v: toda_solve(PAPER_TODA, v)),
+], ids=["x_a", "q", "exact-t", "toda-t"])
+def test_ragged_nested_list_rejected_by_name(name, call):
+    # numpy's "setting an array element with a sequence" named no parameter
+    ragged = [[0.1], [0.1, 0.2]]
+    with pytest.raises(ValueError) as err:
+        call(ragged)
+    assert str(err.value) == f"{name} must be real, got {ragged!r}"

@@ -9,7 +9,8 @@ RhsEvaluationError: the Gauss-Seidel sweep hands it the updated rows
 rather than keeping a copy of that loop.  In the CLI, cli._grids alone
 builds the problem and the grids, before any command opens its output, and
 a RunConfig is built once, never assigned to or validated afterwards, and
-is the only check of a configuration value.  A grid's nodes are mapped in
+is the only check of a configuration value: argparse and the problem-spec
+parser read text into numbers where it is one and never judge it.  A grid's nodes are mapped in
 one place, DEGrid.__post_init__, so they follow from its interval, N and h
 alone.  Whether a caller's value is real is judged by one dtype-kind rule in
 special.py, which alone converts such a value to a float array.  No module
@@ -95,6 +96,22 @@ def test_cli_builds_its_config_once():
     calls = _uses(lambda c: getattr(c.func, "id", None) == "setattr"
                   or getattr(c.func, "attr", None) == "validate", kind=ast.Call)
     assert {fn for path, fn in calls if path == "cli.py"} == set()
+
+
+def test_cli_readers_never_judge():
+    # argparse's type=float and choices, and the spec parser's int(), each
+    # rejected a value in a format of their own before its owner saw it
+    from desinc import cli
+
+    args = cli._build_parser().parse_args(
+        ["solve", "--tol", "x", "--h", "x", "--max-sweeps", "x", "--method", "x", "--n", "x"])
+    assert (args.tol, args.h, args.max_sweeps, args.method, args.n) == ("x",) * 4 + (["x"],)
+    assert not [flag for flag, (_, kwargs) in cli._OPTIONS.items() if "choices" in kwargs]
+    tree = ast.parse((SRC / "problems.py").read_text(encoding="utf-8"))
+    (parser,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                 and node.name == "problem_from_name"]
+    assert not [c.lineno for c in ast.walk(parser) if isinstance(c, ast.Call)
+                and getattr(c.func, "id", None) == "int"]
 
 
 def test_only_grid_maps_the_nodes():
